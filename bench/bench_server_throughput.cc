@@ -5,8 +5,11 @@
 // at N in {1, 4, 16, 64}, plus the shared plan cache's warm hit rate at 16
 // clients (the repeated-query workload every middleware fronts).
 //
-// Emits a JSON summary (stdout, and to argv[1] if given) that
-// scripts/bench_summary.sh commits as BENCH_server_throughput.json.
+// Shape check: with >= 4 hardware threads, QPS at N=4 is at least twice
+// QPS at N=1 (concurrent reads share the engine; smaller hosts print a
+// [SKIP] line). Emits a JSON summary with the host's hardware_concurrency
+// (stdout, and to argv[1] if given) that scripts/bench_summary.sh commits
+// as BENCH_server_throughput.json.
 
 #include <algorithm>
 #include <atomic>
@@ -56,11 +59,11 @@ std::string TimesliceQuery() {
          std::to_string(d) + " AND T2 > " + std::to_string(d);
 }
 
-void WriteJson(std::FILE* f, const std::vector<Point>& points) {
+void WriteJson(std::FILE* f, const std::vector<Point>& points, unsigned hw) {
   std::fprintf(f,
                "{\n  \"bench\": \"server_throughput\",\n  \"scale\": %.3f,\n"
-               "  \"points\": [\n",
-               Scale());
+               "  \"hardware_concurrency\": %u,\n  \"points\": [\n",
+               Scale(), hw);
   for (size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
     std::fprintf(f,
@@ -204,15 +207,29 @@ int Main(int argc, char** argv) {
   checks.Check(server.metrics().gauge("server.sessions").load() == 0,
                "sessions gauge drains to zero");
 
+  // ROADMAP item 3's shape check: readers share the engine's statement
+  // lock, so four clients must at least double one client's throughput —
+  // given four hardware threads to run them on.
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw >= 4) {
+    checks.Check(points[1].qps >= 2.0 * points[0].qps,
+                 "N=4 QPS >= 2x N=1 QPS (got " +
+                     std::to_string(points[1].qps / points[0].qps) + "x)");
+  } else {
+    std::printf("  [SKIP] N=4 vs N=1 scaling check: only %u hardware "
+                "thread(s); concurrent readers cannot overlap on this host\n",
+                hw);
+  }
+
   std::printf("\n");
-  WriteJson(stdout, points);
+  WriteJson(stdout, points, hw);
   if (argc > 1) {
     std::FILE* f = std::fopen(argv[1], "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot open %s\n", argv[1]);
       return 1;
     }
-    WriteJson(f, points);
+    WriteJson(f, points, hw);
     std::fclose(f);
     std::printf("wrote %s\n", argv[1]);
   }

@@ -28,7 +28,10 @@
 # LSN boundaries (torn tails, partial fsyncs), and the churn test races the
 # temporal-update writer against live queries — exactly the code whose
 # failure mode is a racy log append or a use-after-free in undo, so both
-# must stay green under ASan and TSan.
+# must stay green under ASan and TSan. engine_concurrency_test drives one
+# durable engine from several Connections: readers share the engine's
+# statement lock while the writer and DDL take it exclusive, so TSan is the
+# referee for the read path being free of shared mutable state.
 #
 # Usage: scripts/check.sh [jobs]   (default: nproc)
 
@@ -46,7 +49,7 @@ ADAPT_SUITES='^(plan_cache_test|feedback_test|fingerprint_test)$'
 # variants at DOP 4 — ASan catches a moved-from row reused, TSan a racy
 # block handoff, so both suites run under both sanitizers by name.
 VECTOR_SUITES='^(exec_property_test|parallel_exec_test)$'
-DURABILITY_SUITES='^(wal_recovery_test|write_churn_test)$'
+DURABILITY_SUITES='^(wal_recovery_test|write_churn_test|engine_concurrency_test)$'
 # Mid-query replanning: the replan-vs-static differential plus the
 # checkpoint-counting property tests. The Claim()/Fulfill() arbiter and the
 # retain-mode buffer handoff run on prefetch producer threads at dop > 1,
@@ -56,8 +59,10 @@ REPLAN_SUITES='^(replan_exec_test)$'
 # loopback (poll thread + worker pool + concurrent clients sharing the
 # plan cache — TSan's bread and butter), and server_soak is the same
 # binary's mixed adversarial workload with its iteration counts
-# multiplied. wire_fuzz_test (above) covers the protocol codec.
-SERVER_SUITES='^(server_test|server_soak)$'
+# multiplied. wire_fuzz_test (above) covers the protocol codec. The
+# server's pooled workers read the engine concurrently through the shared
+# statement lock, so engine_concurrency_test runs in this leg too.
+SERVER_SUITES='^(server_test|server_soak|engine_concurrency_test)$'
 
 # A stuck test under a sanitizer leg should fail the run, not hang it.
 CTEST_TIMEOUT=600

@@ -27,8 +27,15 @@ std::string LiteralCanon(const Expr& e) {
 std::string ExprCanon(const Expr& e) {
   switch (e.kind) {
     case Expr::Kind::kColumn: {
-      std::string q = e.table.empty() ? e.name : e.table + "." + e.name;
-      if (q.empty()) q = "$" + std::to_string(e.index);
+      // Built by appending, here and below: GCC 12's -Wrestrict misfires
+      // on `"literal" + std::string` temporaries in optimized builds.
+      std::string q = e.table;
+      if (!q.empty()) q += '.';
+      q += e.name;
+      if (q.empty()) {
+        q = "$";
+        q += std::to_string(e.index);
+      }
       return q;
     }
     case Expr::Kind::kLiteral:
@@ -41,11 +48,22 @@ std::string ExprCanon(const Expr& e) {
         case UnaryOp::kIsNull: op = "ISNULL"; break;
         case UnaryOp::kIsNotNull: op = "ISNOTNULL"; break;
       }
-      return std::string(op) + "(" + ExprCanon(*e.children[0]) + ")";
+      std::string out = op;
+      out += '(';
+      out += ExprCanon(*e.children[0]);
+      out += ')';
+      return out;
     }
-    case Expr::Kind::kBinary:
-      return "(" + ExprCanon(*e.children[0]) + " " +
-             BinaryOpName(e.binary_op) + " " + ExprCanon(*e.children[1]) + ")";
+    case Expr::Kind::kBinary: {
+      std::string out = "(";
+      out += ExprCanon(*e.children[0]);
+      out += ' ';
+      out += BinaryOpName(e.binary_op);
+      out += ' ';
+      out += ExprCanon(*e.children[1]);
+      out += ')';
+      return out;
+    }
     case Expr::Kind::kFunction: {
       std::string out = e.function + "(";
       for (size_t i = 0; i < e.children.size(); ++i) {
@@ -275,7 +293,8 @@ uint64_t NodeKey(const algebra::Op& op,
                  const std::vector<uint64_t>& child_keys) {
   std::string s = NodeCanon(op);
   for (const uint64_t k : child_keys) {
-    s += "|" + std::to_string(k);
+    s += '|';
+    s += std::to_string(k);
   }
   return Fingerprint64(s);
 }

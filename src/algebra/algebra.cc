@@ -67,6 +67,7 @@ Result<OpPtr> Project(OpPtr child, std::vector<ProjectItem> items) {
   for (auto& item : items) {
     TANGO_ASSIGN_OR_RETURN(ExprPtr bound, Bind(item.expr, child->schema));
     Column col;
+    col.table = item.table;
     col.name = ToUpper(item.name);
     TANGO_ASSIGN_OR_RETURN(col.type, InferType(bound, child->schema));
     schema.AddColumn(col);
@@ -318,10 +319,11 @@ std::string Op::Describe() const {
       out += " [";
       for (size_t i = 0; i < items.size(); ++i) {
         if (i > 0) out += ", ";
+        const std::string as = items[i].table.empty()
+                                   ? items[i].name
+                                   : items[i].table + "." + items[i].name;
         out += items[i].expr->ToString();
-        if (items[i].name != items[i].expr->ToString()) {
-          out += " AS " + items[i].name;
-        }
+        if (as != items[i].expr->ToString()) out += " AS " + as;
       }
       out += "]";
       break;

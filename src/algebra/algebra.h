@@ -40,6 +40,10 @@ const char* OpKindName(OpKind kind);
 struct ProjectItem {
   ExprPtr expr;
   std::string name;
+  /// Output qualifier; empty for a user projection. A restoring projection
+  /// (join commutativity) keeps its input's qualifiers so parents that
+  /// reference `P.POSID` still bind above it.
+  std::string table = {};
 };
 
 /// One aggregate of a temporal aggregation: the function, the argument

@@ -43,7 +43,9 @@ Result<int64_t> Parse(const std::string& text) {
 std::string Format(int64_t days) {
   int y, m, d;
   ToYmd(days, &y, &m, &d);
-  char buf[16];
+  // Room for any three ints ("-2147483648" is 11 characters), two dashes
+  // and the terminator, so the format can never truncate.
+  char buf[3 * 11 + 3];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", y, m, d);
   return buf;
 }

@@ -66,6 +66,8 @@ Status WireFrame::Check(const std::vector<uint8_t>& framed,
   return Status::OK();
 }
 
+WireWriter::WireWriter() { buf_.reserve(64); }
+
 void WireWriter::PutValue(const Value& v) {
   if (v.is_null()) {
     PutU8(kTagNull);

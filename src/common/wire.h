@@ -19,6 +19,11 @@ namespace tango {
 /// proportional to `size(r)` as the paper's cost formulas assume.
 class WireWriter {
  public:
+  /// Defined out of line on purpose: when GCC 12 inlines a writer it knows
+  /// starts empty, its optimized builds report the first appends' vector
+  /// growth as buffer overflows (-Wstringop-overflow / -Warray-bounds).
+  WireWriter();
+
   void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
   void PutI64(int64_t v) { PutRaw(&v, sizeof(v)); }

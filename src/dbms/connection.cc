@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/wire.h"
+#include "sql/parser.h"
 
 namespace tango {
 namespace dbms {
@@ -32,7 +33,7 @@ class RemoteCursor : public Cursor {
     pos_ = 0;
     batch_no_ = 0;
     server_done_ = false;
-    const auto engine = conn_->AcquireEngine();
+    const auto engine = conn_->AcquireEngineShared();
     return server_->Init();
   }
 
@@ -85,7 +86,7 @@ class RemoteCursor : public Cursor {
     server_block_.Clear();
     size_t n = 0;
     {
-      const auto engine = conn_->AcquireEngine();
+      const auto engine = conn_->AcquireEngineShared();
       TANGO_ASSIGN_OR_RETURN(n, server_->NextBatch(&server_block_));
     }
     if (n == 0) {
@@ -232,10 +233,16 @@ Result<QueryResult> Connection::Execute(const std::string& sql,
                                         const QueryControlPtr& control) {
   const auto wire = AcquireWire();
   TANGO_RETURN_IF_ERROR(StatementGate(sql, control, nullptr));
+  // The parser is pure, so it runs before the statement lock; what it
+  // parsed decides the lock mode — only a SELECT may share the engine.
+  TANGO_ASSIGN_OR_RETURN(const sql::Statement stmt, sql::Parser::Parse(sql));
   QueryResult result;
-  {
+  if (stmt.select != nullptr) {
+    const auto engine = AcquireEngineShared();
+    TANGO_ASSIGN_OR_RETURN(result, engine_->Execute(stmt, session_));
+  } else {
     const auto engine = AcquireEngine();
-    TANGO_ASSIGN_OR_RETURN(result, engine_->Execute(sql, session_));
+    TANGO_ASSIGN_OR_RETURN(result, engine_->Execute(stmt, session_));
   }
   // The whole result set crosses the wire.
   if (!result.rows.empty()) {
@@ -255,7 +262,7 @@ Result<CursorPtr> Connection::ExecuteQuery(const std::string& sql,
   TANGO_RETURN_IF_ERROR(StatementGate(sql, control, &faulted));
   CursorPtr server;
   {
-    const auto engine = AcquireEngine();
+    const auto engine = AcquireEngineShared();
     TANGO_ASSIGN_OR_RETURN(server, engine_->OpenQuery(sql));
   }
   return CursorPtr(std::make_unique<RemoteCursor>(
@@ -335,7 +342,7 @@ Status Connection::InsertLoad(const std::string& table,
 Result<TableStats> Connection::GetTableStats(const std::string& table) {
   const auto wire = AcquireWire();
   PaceRoundTrip();
-  const auto engine = AcquireEngine();
+  const auto engine = AcquireEngineShared();
   TANGO_ASSIGN_OR_RETURN(const Table* t, engine_->catalog().GetTable(table));
   // The staleness fields come from the live table, not the (possibly old)
   // ANALYZE output: a reader compares the epoch it cached statistics at
@@ -349,7 +356,7 @@ Result<TableStats> Connection::GetTableStats(const std::string& table) {
 Result<Schema> Connection::GetTableSchema(const std::string& table) {
   const auto wire = AcquireWire();
   PaceRoundTrip();
-  const auto engine = AcquireEngine();
+  const auto engine = AcquireEngineShared();
   TANGO_ASSIGN_OR_RETURN(const Table* t, engine_->catalog().GetTable(table));
   return t->schema();
 }
@@ -358,7 +365,7 @@ Result<std::vector<std::string>> Connection::ListTables(
     const std::string& prefix) {
   const auto wire = AcquireWire();
   PaceRoundTrip();
-  const auto engine = AcquireEngine();
+  const auto engine = AcquireEngineShared();
   std::vector<std::string> names;
   for (const std::string& name : engine_->catalog().TableNames()) {
     if (name.rfind(prefix, 0) == 0) names.push_back(name);

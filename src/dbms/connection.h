@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -148,12 +149,22 @@ class Connection {
     return std::unique_lock<std::mutex>(wire_mu_);
   }
 
-  /// Serializes access to the shared engine across Connections (the engine
-  /// does not lock internally). Lock order: own wire lock first, then this —
-  /// never the reverse. Held only around the engine call itself, not around
-  /// pacing, so concurrent connections overlap their simulated wire time.
-  std::unique_lock<std::mutex> AcquireEngine() {
-    return std::unique_lock<std::mutex>(engine_->statement_mutex());
+  /// Takes the engine's statement lock exclusively (DML, DDL, transaction
+  /// control, ANALYZE, checkpoints, loads, WAL reclamation). Lock order: own
+  /// wire lock first, then the statement lock's writer turnstile, then the
+  /// lock itself — never the reverse. Held only around the engine call, not
+  /// around pacing, so concurrent connections overlap their simulated wire
+  /// time.
+  std::unique_lock<StatementLock> AcquireEngine() {
+    return std::unique_lock<StatementLock>(engine_->statement_mutex());
+  }
+
+  /// Takes the statement lock shared (SELECTs, server-side cursor batches,
+  /// catalog reads): readers on different connections overlap, a waiting
+  /// writer stops new readers at the turnstile. Same lock order as
+  /// AcquireEngine. Never call it while this thread already holds the lock.
+  std::shared_lock<StatementLock> AcquireEngineShared() {
+    return std::shared_lock<StatementLock>(engine_->statement_mutex());
   }
 
  private:

@@ -362,8 +362,14 @@ Result<QueryResult> Engine::ExecuteTxn(const sql::TxnStmt& stmt,
 
 Result<QueryResult> Engine::Execute(const std::string& sql, uint64_t session) {
   TANGO_RETURN_IF_ERROR(Halted());
+  TANGO_ASSIGN_OR_RETURN(const sql::Statement stmt, sql::Parser::Parse(sql));
+  return Execute(stmt, session);
+}
+
+Result<QueryResult> Engine::Execute(const sql::Statement& stmt,
+                                    uint64_t session) {
+  TANGO_RETURN_IF_ERROR(Halted());
   ++statements_;
-  TANGO_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parser::Parse(sql));
 
   if (stmt.select != nullptr) {
     Planner planner(&catalog_, &config_);

@@ -1,10 +1,12 @@
 #ifndef TANGO_DBMS_ENGINE_H_
 #define TANGO_DBMS_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 
 namespace tango {
 namespace sql {
+struct Statement;
 struct InsertStmt;
 struct UpdateStmt;
 struct TxnStmt;
@@ -54,6 +57,40 @@ struct RecoveryStats {
   uint64_t txns_undone = 0;
   uint64_t undo_records = 0;
   uint64_t torn_bytes_discarded = 0;
+};
+
+/// \brief The engine's statement lock: a writer-preferring reader/writer
+/// lock (Lockable + SharedLockable, so std::unique_lock / std::shared_lock
+/// drive it).
+///
+/// A writer holds the turnstile from the moment it asks for the lock until
+/// it releases it; a reader passes through the turnstile before taking the
+/// shared lock. So once a writer is waiting, new readers queue behind it
+/// and only the readers already inside drain — a writer cannot starve
+/// behind a stream of closed-loop readers. (std::shared_mutex alone gives
+/// no such promise: glibc's rwlock prefers readers.)
+///
+/// Never take the shared lock twice on one thread: with a writer waiting
+/// between the two acquisitions the second blocks on the turnstile forever.
+class StatementLock {
+ public:
+  void lock() {
+    turnstile_.lock();
+    rw_.lock();
+  }
+  void unlock() {
+    rw_.unlock();
+    turnstile_.unlock();
+  }
+  void lock_shared() {
+    { const std::lock_guard<std::mutex> pass(turnstile_); }
+    rw_.lock_shared();
+  }
+  void unlock_shared() { rw_.unlock_shared(); }
+
+ private:
+  std::mutex turnstile_;
+  std::shared_mutex rw_;
 };
 
 /// \brief The conventional DBMS the middleware sits on top of.
@@ -97,6 +134,9 @@ class Engine {
   /// an empty result. DML outside BEGIN..COMMIT autocommits (logged, forced,
   /// durable on return).
   Result<QueryResult> Execute(const std::string& sql, uint64_t session = 0);
+  /// Executes an already-parsed statement (Connection parses first to pick
+  /// the statement lock's mode).
+  Result<QueryResult> Execute(const sql::Statement& stmt, uint64_t session);
 
   /// Plans a SELECT into a server-side cursor without materializing it.
   Result<CursorPtr> OpenQuery(const std::string& sql);
@@ -136,10 +176,12 @@ class Engine {
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
   storage::Wal* wal() { return wal_.get(); }
 
-  /// Statement-granularity mutex: concurrent Connections serialize every
-  /// engine call — and every server-side cursor batch — on this (the engine
-  /// itself does not lock; Connection::AcquireEngine does).
-  std::mutex& statement_mutex() { return stmt_mu_; }
+  /// Statement-granularity reader/writer lock shared by every Connection
+  /// (the engine itself does not lock; Connection::AcquireEngine and
+  /// AcquireEngineShared do). SELECTs, server-side cursor batches and
+  /// catalog reads hold it shared and overlap; DML, DDL, transaction
+  /// control, ANALYZE, checkpoints and loads hold it exclusive.
+  StatementLock& statement_mutex() { return stmt_mu_; }
 
  private:
   /// One entry of a transaction's in-memory undo journal.
@@ -182,16 +224,16 @@ class Engine {
   EngineOptions options_;
   Catalog catalog_;
   SessionConfig config_;
-  uint64_t statements_ = 0;
+  std::atomic<uint64_t> statements_{0};  // bumped by concurrent readers
 
   std::unique_ptr<storage::Wal> wal_;
   FaultInjectorPtr injector_;
   LockTable locks_;
   std::map<uint64_t, Txn> txns_;  // session -> open explicit txn
   uint64_t next_txn_ = 1;
-  uint64_t next_session_ = 1;
+  std::atomic<uint64_t> next_session_{1};  // Connections open unlocked
   RecoveryStats recovery_stats_;
-  std::mutex stmt_mu_;
+  StatementLock stmt_mu_;
 };
 
 /// True for the middleware's `TANGO_TMP_`-prefixed temporaries: they skip

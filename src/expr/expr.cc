@@ -107,25 +107,36 @@ ExprPtr Expr::AndAll(std::vector<ExprPtr> conjuncts) {
 
 std::string Expr::ToString() const {
   switch (kind) {
+    // Column and unary renderings are built by appending: GCC 12's
+    // -Wrestrict misreports `"literal" + std::string` temporaries in
+    // optimized builds.
     case Kind::kColumn: {
-      std::string q = table.empty() ? name : table + "." + name;
-      if (q.empty()) q = "$" + std::to_string(index);
+      if (table.empty() && name.empty()) {
+        std::string q(1, '$');
+        q += std::to_string(index);
+        return q;
+      }
+      std::string q = table;
+      if (!q.empty()) q += '.';
+      q += name;
       return q;
     }
     case Kind::kLiteral:
       return literal.ToSqlLiteral();
-    case Kind::kUnary:
+    case Kind::kUnary: {
+      const char* prefix = "(";
+      const char* suffix = ")";
       switch (unary_op) {
-        case UnaryOp::kNot:
-          return "NOT (" + children[0]->ToString() + ")";
-        case UnaryOp::kNeg:
-          return "-(" + children[0]->ToString() + ")";
-        case UnaryOp::kIsNull:
-          return "(" + children[0]->ToString() + ") IS NULL";
-        case UnaryOp::kIsNotNull:
-          return "(" + children[0]->ToString() + ") IS NOT NULL";
+        case UnaryOp::kNot: prefix = "NOT ("; break;
+        case UnaryOp::kNeg: prefix = "-("; break;
+        case UnaryOp::kIsNull: suffix = ") IS NULL"; break;
+        case UnaryOp::kIsNotNull: suffix = ") IS NOT NULL"; break;
       }
-      return "?";
+      std::string out = prefix;
+      out += children[0]->ToString();
+      out += suffix;
+      return out;
+    }
     case Kind::kBinary: {
       const bool bare = binary_op == BinaryOp::kAnd || binary_op == BinaryOp::kOr;
       std::string l = children[0]->ToString();

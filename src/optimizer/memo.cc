@@ -20,6 +20,19 @@ algebra::OpPtr Placeholder(size_t group_id, const Schema& schema) {
   return op;
 }
 
+/// Identity of one memo element: the operator's parameters plus its child
+/// classes. (Built by appending: GCC 12's -Wrestrict misfires on
+/// `"|" + std::to_string(g)` in optimized builds.)
+std::string ElementFingerprint(const algebra::Op& op,
+                               const std::vector<size_t>& children) {
+  std::string fp = op.ParamFingerprint();
+  for (size_t g : children) {
+    fp += '|';
+    fp += std::to_string(g);
+  }
+  return fp;
+}
+
 /// True when the conjunct matches half of the Overlaps pattern: an upper
 /// bound on T1 or a lower bound on T2.
 bool IsTemporalWindowConjunct(const ExprPtr& c, const Schema& schema) {
@@ -96,8 +109,7 @@ Result<stats::RelStats> Memo::DeriveStats(const algebra::OpPtr& op,
 
 Result<size_t> Memo::Insert(const algebra::OpPtr& op,
                             std::vector<size_t> children, size_t target) {
-  std::string fingerprint = op->ParamFingerprint();
-  for (size_t g : children) fingerprint += "|" + std::to_string(g);
+  const std::string fingerprint = ElementFingerprint(*op, children);
 
   size_t group_id = target;
   if (target == kNewGroup) {
@@ -125,9 +137,7 @@ Result<size_t> Memo::Insert(const algebra::OpPtr& op,
   } else {
     // In-group dedup: do not add the same element twice.
     for (const MExpr& e : groups_[target].exprs) {
-      std::string fp = e.op->ParamFingerprint();
-      for (size_t g : e.children) fp += "|" + std::to_string(g);
-      if (fp == fingerprint) return target;
+      if (ElementFingerprint(*e.op, e.children) == fingerprint) return target;
     }
   }
   MExpr expr;
@@ -521,10 +531,8 @@ Result<size_t> Memo::RuleJoinCommute(size_t group_id, const MExpr& e) {
   const size_t rg = e.children[1];
   // Apply commutativity only once per join: re-commuting the product would
   // create mutually-referencing projection classes.
-  {
-    std::string fp = e.op->ParamFingerprint();
-    for (size_t g : e.children) fp += "|" + std::to_string(g);
-    if (commute_products_.count(fp) != 0) return 0;
+  if (commute_products_.count(ElementFingerprint(*e.op, e.children)) != 0) {
+    return 0;
   }
   std::vector<std::pair<std::string, std::string>> swapped;
   for (const auto& [l, r] : e.op->join_attrs) swapped.emplace_back(r, l);
@@ -536,11 +544,8 @@ Result<size_t> Memo::RuleJoinCommute(size_t group_id, const MExpr& e) {
           : algebra::Product(Placeholder(rg, groups_[rg].schema),
                              Placeholder(lg, groups_[lg].schema));
   if (!commuted.ok()) return generated_ - before;
-  {
-    std::string fp = commuted.ValueOrDie()->ParamFingerprint();
-    fp += "|" + std::to_string(rg) + "|" + std::to_string(lg);
-    commute_products_.insert(fp);
-  }
+  commute_products_.insert(
+      ElementFingerprint(*commuted.ValueOrDie(), {rg, lg}));
   TANGO_ASSIGN_OR_RETURN(size_t cg,
                          Insert(commuted.ValueOrDie(), {rg, lg}, kNewGroup));
 
@@ -554,7 +559,7 @@ Result<size_t> Memo::RuleJoinCommute(size_t group_id, const MExpr& e) {
     // (i + right_cols) % total in the commuted output.
     const size_t j = (i + right_cols) % cs.num_columns();
     items.push_back({Expr::Column(cs.column(j).table, cs.column(j).name),
-                     out.column(i).name});
+                     out.column(i).name, out.column(i).table});
   }
   auto proj = algebra::Project(Placeholder(cg, cs), items);
   if (!proj.ok()) return generated_ - before;

@@ -44,7 +44,13 @@ class Translator {
   /// Allocates select-list aliases that are unique within one SELECT.
   std::vector<std::string> MakeAliases(const Schema& schema);
 
-  std::string FreshSubqueryAlias() { return "S" + std::to_string(++alias_counter_); }
+  std::string FreshSubqueryAlias() {
+    // Appended rather than `"S" + std::to_string(...)`, which GCC 12's
+    // -Wrestrict misreports in optimized builds.
+    std::string alias = "S";
+    alias += std::to_string(++alias_counter_);
+    return alias;
+  }
 
   /// Prints an algebra expression against a child whose algebra schema is
   /// `schema` and whose emitted aliases are `aliases`, qualifying column

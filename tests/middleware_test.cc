@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "tango/middleware.h"
 
 namespace tango {
@@ -158,6 +160,113 @@ TEST(MiddlewareTest, RegularJoinQuery) {
   EXPECT_EQ(result.ValueOrDie().rows[0][2].AsString(), "12 Elm St");
 }
 
+// Join commutativity (rule E2) files a projection restoring the original
+// column order above the commuted join. It used to drop the table
+// qualifiers, so a parent projection naming `P.POSID` could not bind above
+// it ("no such column: P.POSID") whenever the commuted alternative won.
+// Compile and run that alternative and compare with the uncommuted plan.
+TEST(MiddlewareTest, QualifiedProjectionBindsAboveCommutedJoin) {
+  using optimizer::Algorithm;
+  dbms::Engine db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE POSITION (PosID INT, EmpID INT, "
+                         "T1 INT, T2 INT)")
+                  .ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO POSITION VALUES (1, 10, 2, 20), "
+                         "(2, 20, 5, 25), (3, 10, 5, 10), (4, 30, 1, 9)")
+                  .ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE EMPLOYEE (EmpID INT, "
+                         "EmpName VARCHAR(20))")
+                  .ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO EMPLOYEE VALUES (10, 'Tom'), "
+                         "(20, 'Jane'), (30, 'Ann')")
+                  .ok());
+  ASSERT_TRUE(db.Execute("ANALYZE").ok());
+  Middleware mw(&db, TestConfig());
+  ASSERT_TRUE(mw.CollectStatistics({"POSITION", "EMPLOYEE"}).ok());
+
+  auto schema = [&db](const char* table) {
+    return db.catalog().GetTable(table).ValueOrDie()->schema();
+  };
+  auto p = algebra::Scan("POSITION", schema("POSITION"), "P").ValueOrDie();
+  auto e = algebra::Scan("EMPLOYEE", schema("EMPLOYEE"), "E").ValueOrDie();
+  auto join = algebra::Join(p, e, {{"P.EMPID", "E.EMPID"}}).ValueOrDie();
+
+  // Let the memo apply E2, then rebuild its two new elements over the real
+  // scans: the commuted join and the restoring projection above it.
+  optimizer::Memo memo;
+  memo.set_scan_stats_provider(
+      [&mw](const std::string& t) { return mw.TableStatistics(t); });
+  auto root = memo.CopyIn(join);
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  ASSERT_TRUE(memo.Explore().ok());
+  const optimizer::MExpr* restore = nullptr;
+  for (const optimizer::MExpr& m : memo.group(root.ValueOrDie()).exprs) {
+    if (m.op->kind == algebra::OpKind::kProject) restore = &m;
+  }
+  ASSERT_NE(restore, nullptr) << memo.ToString();
+  const optimizer::MExpr* commuted_join = nullptr;
+  for (const optimizer::MExpr& m : memo.group(restore->children[0]).exprs) {
+    if (m.op->kind == algebra::OpKind::kJoin) commuted_join = &m;
+  }
+  ASSERT_NE(commuted_join, nullptr) << memo.ToString();
+  auto commuted = algebra::WithChildren(*commuted_join->op, {e, p});
+  ASSERT_TRUE(commuted.ok()) << commuted.status().ToString();
+  auto restored =
+      algebra::WithChildren(*restore->op, {commuted.ValueOrDie()});
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.ValueOrDie()->schema.ToString(), join->schema.ToString());
+
+  const std::vector<algebra::ProjectItem> items = {
+      {Expr::Column("P", "POSID"), "POSID"},
+      {Expr::Column("E", "EMPNAME"), "EMPNAME"}};
+  auto above_commuted = algebra::Project(restored.ValueOrDie(), items);
+  ASSERT_TRUE(above_commuted.ok()) << above_commuted.status().ToString();
+  auto above_join = algebra::Project(join, items).ValueOrDie();
+
+  auto node = [](Algorithm alg, algebra::OpPtr op,
+                 std::vector<optimizer::PhysPlanPtr> children) {
+    auto n = std::make_shared<optimizer::PhysPlan>();
+    n->algorithm = alg;
+    n->op = std::move(op);
+    n->children = std::move(children);
+    return optimizer::PhysPlanPtr(n);
+  };
+  const auto scan_p = node(Algorithm::kScanD, p, {});
+  const auto scan_e = node(Algorithm::kScanD, e, {});
+  const auto commuted_plan = node(
+      Algorithm::kTransferM,
+      algebra::TransferM(above_commuted.ValueOrDie()).ValueOrDie(),
+      {node(Algorithm::kProjectD, above_commuted.ValueOrDie(),
+            {node(Algorithm::kProjectD, restored.ValueOrDie(),
+                  {node(Algorithm::kJoinD, commuted.ValueOrDie(),
+                        {scan_e, scan_p})})})});
+  const auto plain_plan =
+      node(Algorithm::kTransferM, algebra::TransferM(above_join).ValueOrDie(),
+           {node(Algorithm::kProjectD, above_join,
+                 {node(Algorithm::kJoinD, join, {scan_p, scan_e})})});
+
+  auto a = mw.Execute(commuted_plan);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  auto b = mw.Execute(plain_plan);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  auto sorted = [](std::vector<Tuple> rows) {
+    std::sort(rows.begin(), rows.end(), [](const Tuple& x, const Tuple& y) {
+      return x[0].Compare(y[0]) < 0;
+    });
+    return rows;
+  };
+  const std::vector<Tuple> got = sorted(a.ValueOrDie().rows);
+  const std::vector<Tuple> want = sorted(b.ValueOrDie().rows);
+  ASSERT_EQ(got.size(), 4u);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size(), 2u);
+    for (size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(got[i][c].Compare(want[i][c]), 0) << i << "," << c;
+    }
+  }
+}
+
 TEST(MiddlewareTest, TimeWindowQueryPushesSelection) {
   dbms::Engine db;
   LoadFigure3(&db);
@@ -207,7 +316,8 @@ TEST(MiddlewareTest, FeedbackAdjustsCostFactors) {
   std::string values;
   for (int i = 0; i < 3000; ++i) {
     if (i > 0) values += ", ";
-    values += "(" + std::to_string(i % 300) + ", 'emp" + std::to_string(i) +
+    values += '(';
+    values += std::to_string(i % 300) + ", 'emp" + std::to_string(i) +
               "', " + std::to_string(i % 97) + ", " +
               std::to_string(i % 97 + 10) + ")";
   }

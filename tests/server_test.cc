@@ -48,7 +48,8 @@ void LoadBig(dbms::Engine* db, size_t rows = 1000) {
   std::string insert;
   for (size_t i = 0; i < rows; ++i) {
     if (insert.empty()) insert = "INSERT INTO BIG VALUES ";
-    insert += "(" + std::to_string(i) + ", " + std::to_string(i % 97) + ", " +
+    insert += '(';
+    insert += std::to_string(i) + ", " + std::to_string(i % 97) + ", " +
               std::to_string(i % 50) + ", " + std::to_string(i % 50 + 60) +
               ")";
     if (insert.size() > 12000 || i + 1 == rows) {
