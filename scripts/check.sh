@@ -63,6 +63,12 @@ REPLAN_SUITES='^(replan_exec_test)$'
 # server's pooled workers read the engine concurrently through the shared
 # statement lock, so engine_concurrency_test runs in this leg too.
 SERVER_SUITES='^(server_test|server_soak|engine_concurrency_test)$'
+# Column-pruned scans: Page::ReadColumns and WireReader::SkipValue step
+# through raw slot bytes, and pooled readers run these scans concurrently
+# under the shared statement lock. ASan referees the decoder's bounds (the
+# forged-length and truncated-slot cases), TSan the shared pages and the
+# scan counters; dbms_planner_test is the pruning-vs-oracle differential.
+SCAN_SUITES='^(storage_test|dbms_planner_test|wire_fuzz_test)$'
 
 # A stuck test under a sanitizer leg should fail the run, not hang it.
 CTEST_TIMEOUT=600
@@ -114,6 +120,9 @@ run_config() {
     check_leaks "${name}" "${dir}"
     echo "=== ${name}: server suites (polling server + soak) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${SERVER_SUITES}" --timeout "${CTEST_TIMEOUT}")
+    check_leaks "${name}" "${dir}"
+    echo "=== ${name}: scan suites (column-pruned decode + pruning differential) ==="
+    (cd "${dir}" && ctest --output-on-failure -R "${SCAN_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
   fi
   echo "=== ${name}: OK ==="

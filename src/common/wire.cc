@@ -156,6 +156,29 @@ Result<Value> WireReader::GetValue() {
   }
 }
 
+Status WireReader::SkipValue() {
+  TANGO_ASSIGN_OR_RETURN(uint8_t tag, GetU8());
+  size_t n = 0;
+  switch (tag) {
+    case kTagNull:
+      return Status::OK();
+    case kTagInt:
+    case kTagDouble:
+      n = 8;
+      break;
+    case kTagString: {
+      TANGO_ASSIGN_OR_RETURN(uint32_t len, GetU32());
+      n = len;
+      break;
+    }
+    default:
+      return Status::IOError("bad wire value tag");
+  }
+  TANGO_RETURN_IF_ERROR(Need(n));
+  pos_ += n;
+  return Status::OK();
+}
+
 Result<Tuple> WireReader::GetTuple() {
   TANGO_ASSIGN_OR_RETURN(uint32_t n, GetU32());
   Tuple t;

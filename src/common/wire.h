@@ -90,6 +90,10 @@ class WireReader {
   Result<double> GetDouble();
   Result<std::string> GetString();
   Result<Value> GetValue();
+  /// Steps over one encoded value without materializing it; the same tag
+  /// and bounds checks as GetValue, so a forged string length or a bad tag
+  /// fails with IOError instead of moving past the buffer.
+  Status SkipValue();
   Result<Tuple> GetTuple();
   /// Decodes one block written by PutRowBlock into `block` (replacing its
   /// contents; the block's capacity is not a decode limit). Returns the row

@@ -372,8 +372,9 @@ Result<QueryResult> Engine::Execute(const sql::Statement& stmt,
   ++statements_;
 
   if (stmt.select != nullptr) {
-    Planner planner(&catalog_, &config_);
-    TANGO_ASSIGN_OR_RETURN(CursorPtr cursor, planner.PlanSelect(*stmt.select));
+    TANGO_ASSIGN_OR_RETURN(
+        CursorPtr cursor,
+        NewPlanner().PlanSelect(*stmt.select, OutputColumns::All()));
     QueryResult result;
     result.schema = cursor->schema();
     TANGO_ASSIGN_OR_RETURN(result.rows, MaterializeAll(cursor.get()));
@@ -390,9 +391,9 @@ Result<QueryResult> Engine::Execute(const sql::Statement& stmt,
     if (catalog_.HasTable(key)) return Status::AlreadyExists("table " + key);
     const bool logged = wal_ != nullptr && !IsTempTableName(key);
     if (ct.as_select != nullptr) {
-      Planner planner(&catalog_, &config_);
-      TANGO_ASSIGN_OR_RETURN(CursorPtr cursor,
-                             planner.PlanSelect(*ct.as_select));
+      TANGO_ASSIGN_OR_RETURN(
+          CursorPtr cursor,
+          NewPlanner().PlanSelect(*ct.as_select, OutputColumns::All()));
       // Strip qualifiers: the new table's columns are its own.
       Schema schema;
       for (const Column& c : cursor->schema().columns()) {
@@ -517,8 +518,7 @@ Result<CursorPtr> Engine::OpenQuery(const std::string& sql) {
   if (stmt.select == nullptr) {
     return Status::InvalidArgument("OpenQuery requires a SELECT");
   }
-  Planner planner(&catalog_, &config_);
-  return planner.PlanSelect(*stmt.select);
+  return NewPlanner().PlanSelect(*stmt.select, OutputColumns::All());
 }
 
 Status Engine::BulkLoad(const std::string& table_name,

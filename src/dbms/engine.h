@@ -42,7 +42,8 @@ struct EngineOptions {
   /// behavior every read-only experiment uses.
   std::string wal_dir;
   size_t wal_segment_bytes = 1 << 20;
-  /// Optional observability sinks ("wal.*" / "txn.*" / "recovery.replay.*").
+  /// Optional observability sinks ("wal.*" / "txn.*" / "recovery.replay.*"
+  /// / "dbms.scan.*").
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRecorder* trace = nullptr;
 };
@@ -111,7 +112,10 @@ class StatementLock {
 class Engine {
  public:
   Engine() = default;
-  explicit Engine(EngineOptions options) : options_(std::move(options)) {}
+  explicit Engine(EngineOptions options)
+      : options_(std::move(options)),
+        scan_counters_{Metric("dbms.scan.rows_examined"),
+                       Metric("dbms.scan.values_decoded")} {}
 
   /// Opens the WAL and replays it into the catalog; must be called (once)
   /// before any statement when `wal_dir` is set. No-op for volatile engines.
@@ -220,8 +224,10 @@ class Engine {
                    const Tuple& before, const Tuple& after, bool logged);
 
   obs::Counter* Metric(const char* name);
+  Planner NewPlanner() { return Planner(&catalog_, &config_, scan_counters_); }
 
   EngineOptions options_;
+  ScanCounters scan_counters_;  // resolved once; null without a registry
   Catalog catalog_;
   SessionConfig config_;
   std::atomic<uint64_t> statements_{0};  // bumped by concurrent readers

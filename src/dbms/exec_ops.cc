@@ -5,49 +5,125 @@
 namespace tango {
 namespace dbms {
 
-// ---------------------------------------------------------------- TableScan
+// ------------------------------------------------------------ StoredRowScan
 
-TableScanOp::TableScanOp(const Table* table, const std::string& alias)
-    : table_(table),
-      schema_(alias.empty() ? table->schema()
-                            : table->schema().WithQualifier(alias)) {}
+namespace {
 
-Status TableScanOp::Init() {
-  it_.emplace(table_->file().Scan());
-  return Status::OK();
+void MarkBoundColumns(const Expr& e, std::vector<bool>* columns) {
+  if (e.kind == Expr::Kind::kColumn && e.index >= 0 &&
+      static_cast<size_t>(e.index) < columns->size()) {
+    (*columns)[static_cast<size_t>(e.index)] = true;
+  }
+  for (const ExprPtr& c : e.children) MarkBoundColumns(*c, columns);
 }
 
-Result<bool> TableScanOp::Next(Tuple* tuple) {
-  return it_->Next(tuple);
+}  // namespace
+
+StoredRowScan::StoredRowScan(ScanSpec spec)
+    : table_(spec.table),
+      schema_(spec.alias.empty() ? table_->schema()
+                                 : table_->schema().WithQualifier(spec.alias)),
+      counters_(spec.counters) {
+  const size_t arity = table_->schema().num_columns();
+  std::vector<bool> decoded(arity, false);
+  // Moves the not-yet-decoded columns of `wanted` into a new step.
+  auto add_step = [&](const std::vector<bool>& wanted, ExprPtr conjunct) {
+    Step step;
+    step.columns.assign(arity, false);
+    for (size_t c = 0; c < arity; ++c) {
+      if (c < wanted.size() && wanted[c] && !decoded[c]) {
+        step.columns[c] = decoded[c] = true;
+        ++step.decodes;
+      }
+    }
+    step.conjunct = std::move(conjunct);
+    steps_.push_back(std::move(step));
+  };
+  for (ExprPtr& conjunct : spec.conjuncts) {
+    std::vector<bool> reads(arity, false);
+    MarkBoundColumns(*conjunct, &reads);
+    add_step(reads, std::move(conjunct));
+  }
+  add_step(spec.columns, nullptr);
+  // A final pass with nothing left to decode is dropped — unless it is the
+  // only one, which still shapes the (all-NULL) row.
+  if (steps_.size() > 1 && steps_.back().decodes == 0) steps_.pop_back();
 }
 
-Result<size_t> TableScanOp::NextBatch(RowBlock* block) {
+void StoredRowScan::FlushCounters() {
+  if (counters_.rows_examined != nullptr && rows_examined_ > 0) {
+    counters_.rows_examined->Increment(rows_examined_);
+  }
+  if (counters_.values_decoded != nullptr && values_decoded_ > 0) {
+    counters_.values_decoded->Increment(values_decoded_);
+  }
+  rows_examined_ = 0;
+  values_decoded_ = 0;
+}
+
+Result<bool> StoredRowScan::Advance() {
+  const storage::HeapFile& file = table_->file();
+  storage::Rid rid;
+  while (NextRid(&rid)) {
+    ++rows_examined_;
+    bool pass = true;
+    for (const Step& step : steps_) {
+      TANGO_RETURN_IF_ERROR(file.ReadColumns(rid, step.columns, &row_));
+      values_decoded_ += step.decodes;
+      if (step.conjunct != nullptr && !EvalPredicate(*step.conjunct, row_)) {
+        pass = false;
+        break;
+      }
+    }
+    if (pass) return true;
+  }
+  FlushCounters();
+  return false;
+}
+
+Result<bool> StoredRowScan::Next(Tuple* tuple) {
+  TANGO_ASSIGN_OR_RETURN(bool more, Advance());
+  if (!more) return false;
+  *tuple = std::move(row_);
+  // The next row is re-shaped from scratch, so nothing the caller's tuple
+  // held can leak into an unmasked column.
+  row_.clear();
+  return true;
+}
+
+Result<size_t> StoredRowScan::NextBatch(RowBlock* block) {
   block->Clear();
-  Tuple t;
   while (!block->full()) {
-    if (!it_->Next(&t)) break;
-    block->AppendRow(std::move(t));
+    TANGO_ASSIGN_OR_RETURN(bool more, Advance());
+    if (!more) break;
+    // Moves the values out and keeps the row's shape: unmasked columns stay
+    // NULL, and masked ones are re-decoded before anything reads them.
+    block->AppendRow(std::move(row_));
   }
   return block->rows();
 }
 
+// ---------------------------------------------------------------- TableScan
+
+Status TableScanOp::Init() {
+  it_.emplace(table()->file().Scan());
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------- IndexScan
 
-IndexScanOp::IndexScanOp(const Table* table, size_t column,
-                         const std::string& alias, std::optional<Value> lo,
+IndexScanOp::IndexScanOp(ScanSpec spec, size_t column, std::optional<Value> lo,
                          bool lo_inclusive, std::optional<Value> hi,
                          bool hi_inclusive)
-    : table_(table),
+    : StoredRowScan(std::move(spec)),
       column_(column),
-      schema_(alias.empty() ? table->schema()
-                            : table->schema().WithQualifier(alias)),
       lo_(std::move(lo)),
       hi_(std::move(hi)),
       lo_inclusive_(lo_inclusive),
       hi_inclusive_(hi_inclusive) {}
 
 Status IndexScanOp::Init() {
-  const storage::BPlusTree* index = table_->GetIndex(column_);
+  const storage::BPlusTree* index = table()->GetIndex(column_);
   if (index == nullptr) return Status::Internal("index scan without index");
   if (lo_.has_value()) {
     it_ = lo_inclusive_ ? index->SeekGE(*lo_) : index->SeekGT(*lo_);
@@ -57,15 +133,16 @@ Status IndexScanOp::Init() {
   return Status::OK();
 }
 
-Result<bool> IndexScanOp::Next(Tuple* tuple) {
+bool IndexScanOp::NextRid(storage::Rid* rid) {
   Value key;
-  storage::Rid rid;
-  if (!it_->Next(&key, &rid)) return false;
+  if (!it_.has_value() || !it_->Next(&key, rid)) return false;
   if (hi_.has_value()) {
     const int c = key.Compare(*hi_);
-    if (c > 0 || (c == 0 && !hi_inclusive_)) return false;
+    if (c > 0 || (c == 0 && !hi_inclusive_)) {
+      it_.reset();  // past the range: stay exhausted until the next Init
+      return false;
+    }
   }
-  TANGO_ASSIGN_OR_RETURN(*tuple, table_->file().Get(rid));
   return true;
 }
 

@@ -10,6 +10,7 @@
 #include "common/cursor.h"
 #include "dbms/catalog.h"
 #include "expr/expr.h"
+#include "obs/metrics.h"
 
 namespace tango {
 namespace dbms {
@@ -21,41 +22,105 @@ struct AggSpec {
   std::string name;   // output column name
 };
 
-/// \brief Full scan of a stored table.
-class TableScanOp : public Cursor {
- public:
-  /// `alias` re-qualifies the output schema (range variable).
-  TableScanOp(const Table* table, const std::string& alias);
+/// Where the base-table scans report what they read; either may be null.
+/// A scan accumulates locally and adds once, when it is exhausted or
+/// destroyed — never per row.
+struct ScanCounters {
+  obs::Counter* rows_examined = nullptr;   // candidate rows looked at
+  obs::Counter* values_decoded = nullptr;  // column values materialized
+};
 
-  Status Init() override;
+/// \brief What a base-table scan reads.
+struct ScanSpec {
+  const Table* table = nullptr;
+  /// Range variable re-qualifying the output schema (empty keeps the
+  /// table's own qualifiers).
+  std::string alias;
+  /// Referenced-column mask, one bit per table column. Columns outside it
+  /// are never decoded and come out NULL.
+  std::vector<bool> columns;
+  /// Pushed single-table conjuncts, bound against the scan's schema. Only
+  /// rows satisfying all of them are produced.
+  std::vector<ExprPtr> conjuncts;
+  ScanCounters counters;
+};
+
+/// \brief Shared body of the table and index scans: pulls candidate rids
+/// from the access path and decodes each stored row conjunct by conjunct.
+///
+/// Each pushed conjunct is checked right after decoding only the columns it
+/// is first to need; the remaining masked columns are decoded only for rows
+/// that pass every conjunct. "All columns, no predicate" is the degenerate
+/// spec, not a second path.
+class StoredRowScan : public Cursor {
+ public:
+  ~StoredRowScan() override { FlushCounters(); }
+
   Result<bool> Next(Tuple* tuple) override;
-  /// Fills the block straight from the heap-file iterator: one virtual
-  /// cursor call per block instead of one per stored row.
+  /// Fills the block straight from the access path: one virtual cursor
+  /// call per block instead of one per stored row.
   Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return schema_; }
 
+ protected:
+  explicit StoredRowScan(ScanSpec spec);
+
+  /// Next candidate row of the access path; false at its end.
+  virtual bool NextRid(storage::Rid* rid) = 0;
+
+  const Table* table() const { return table_; }
+
  private:
+  // One decode pass: the columns first needed by `conjunct` (or, for the
+  // last step, the masked columns no conjunct needed), then the check.
+  struct Step {
+    std::vector<bool> columns;
+    uint64_t decodes = 0;  // set bits in `columns`
+    ExprPtr conjunct;      // null for the final step
+  };
+
+  /// Decodes the next qualifying row into `row_`; false when exhausted.
+  Result<bool> Advance();
+  void FlushCounters();
+
   const Table* table_;
   Schema schema_;
+  std::vector<Step> steps_;
+  ScanCounters counters_;
+  uint64_t rows_examined_ = 0;
+  uint64_t values_decoded_ = 0;
+  Tuple row_;  // reused decode target; unmasked columns stay NULL
+};
+
+/// \brief Full scan of a stored table.
+class TableScanOp : public StoredRowScan {
+ public:
+  explicit TableScanOp(ScanSpec spec) : StoredRowScan(std::move(spec)) {}
+
+  Status Init() override;
+
+ protected:
+  bool NextRid(storage::Rid* rid) override { return it_->NextSlot(rid); }
+
+ private:
   std::optional<storage::HeapFile::Iterator> it_;
 };
 
 /// \brief Range scan via a B+-tree index: key in [lo, hi] with optional
-/// open bounds on either side.
-class IndexScanOp : public Cursor {
+/// open bounds on either side. The heap fetch by rid decodes through the
+/// same mask and conjuncts as a table scan.
+class IndexScanOp : public StoredRowScan {
  public:
-  IndexScanOp(const Table* table, size_t column, const std::string& alias,
-              std::optional<Value> lo, bool lo_inclusive,
-              std::optional<Value> hi, bool hi_inclusive);
+  IndexScanOp(ScanSpec spec, size_t column, std::optional<Value> lo,
+              bool lo_inclusive, std::optional<Value> hi, bool hi_inclusive);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
-  const Schema& schema() const override { return schema_; }
+
+ protected:
+  bool NextRid(storage::Rid* rid) override;
 
  private:
-  const Table* table_;
   size_t column_;
-  Schema schema_;
   std::optional<Value> lo_, hi_;
   bool lo_inclusive_, hi_inclusive_;
   std::optional<storage::BPlusTree::Iterator> it_;

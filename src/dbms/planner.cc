@@ -115,6 +115,41 @@ Result<ExprPtr> RewriteOverAggOutput(const ExprPtr& e, const Schema& input,
   return ExprPtr(out);
 }
 
+/// Calls `fn` on every column-reference node of `e`.
+template <typename Fn>
+void ForEachColumnRef(const ExprPtr& e, const Fn& fn) {
+  if (e == nullptr) return;
+  if (e->kind == Expr::Kind::kColumn) {
+    fn(*e);
+    return;
+  }
+  for (const ExprPtr& c : e->children) ForEachColumnRef(c, fn);
+}
+
+/// Output column name of a non-star select item.
+std::string ItemName(const sql::SelectItem& item) {
+  if (!item.alias.empty()) return item.alias;
+  return item.expr->kind == Expr::Kind::kColumn ? item.expr->name
+                                                : item.expr->ToString();
+}
+
+/// True when the star item `*` or `Q.*` expands to column `c`.
+bool StarCovers(const sql::SelectItem& star, const Column& c) {
+  return star.star_qualifier.empty() || c.table == star.star_qualifier;
+}
+
+/// True when some ORDER BY criterion references a column called `name`.
+bool OrderByNames(const sql::SelectStmt& stmt, const std::string& name) {
+  const std::string upper = ToUpper(name);
+  bool named = false;
+  for (const sql::OrderItem& item : stmt.order_by) {
+    ForEachColumnRef(item.expr, [&](const Expr& c) {
+      if (ToUpper(c.name) == upper) named = true;
+    });
+  }
+  return named;
+}
+
 void CollectAggNodes(const ExprPtr& e, std::vector<ExprPtr>* out) {
   if (e == nullptr) return;
   if (e->kind == Expr::Kind::kAggregate) {
@@ -129,42 +164,126 @@ void CollectAggNodes(const ExprPtr& e, std::vector<ExprPtr>* out) {
 
 }  // namespace
 
-Result<CursorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
-  // Plan the UNION chain.
+Result<CursorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
+                                      const OutputColumns& reads) {
+  if (stmt.union_next == nullptr) return PlanArm(stmt, reads);
+
+  // Plan the UNION chain. Arms always produce every column: UNION's
+  // duplicate elimination compares whole rows.
   std::vector<CursorPtr> arms;
   bool all_union_all = true;
-  const sql::SelectStmt* arm = &stmt;
-  while (arm != nullptr) {
-    TANGO_ASSIGN_OR_RETURN(CursorPtr planned, PlanArm(*arm));
+  for (const sql::SelectStmt* arm = &stmt; arm != nullptr;
+       arm = arm->union_next.get()) {
+    TANGO_ASSIGN_OR_RETURN(CursorPtr planned,
+                           PlanArm(*arm, OutputColumns::All()));
     arms.push_back(std::move(planned));
     if (arm->union_next != nullptr && !arm->union_all) all_union_all = false;
-    arm = arm->union_next.get();
   }
-  CursorPtr cur;
-  if (arms.size() == 1) {
-    cur = std::move(arms[0]);
-  } else {
-    // Union compatibility: same arity.
-    const size_t arity = arms[0]->schema().num_columns();
-    for (const CursorPtr& a : arms) {
-      if (a->schema().num_columns() != arity) {
-        return Status::InvalidArgument("UNION arms have different arity");
-      }
+  // Union compatibility: same arity.
+  const size_t arity = arms[0]->schema().num_columns();
+  for (const CursorPtr& a : arms) {
+    if (a->schema().num_columns() != arity) {
+      return Status::InvalidArgument("UNION arms have different arity");
     }
-    cur = std::make_unique<UnionAllOp>(std::move(arms));
-    if (!all_union_all) {
-      auto keys = AllColumnsAsc(cur->schema());
-      cur = std::make_unique<SortOp>(std::move(cur), std::move(keys));
-      cur = std::make_unique<DedupOp>(std::move(cur));
-    }
-    TANGO_ASSIGN_OR_RETURN(cur, ApplyOrderBy(stmt, std::move(cur)));
   }
-  return cur;
+  CursorPtr cur = std::make_unique<UnionAllOp>(std::move(arms));
+  if (!all_union_all) {
+    auto keys = AllColumnsAsc(cur->schema());
+    cur = std::make_unique<SortOp>(std::move(cur), std::move(keys));
+    cur = std::make_unique<DedupOp>(std::move(cur));
+  }
+  return ApplyOrderBy(stmt, std::move(cur));
 }
 
-Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt) {
+Result<std::vector<Schema>> Planner::RefSchemas(const sql::SelectStmt& stmt) {
+  std::vector<Schema> schemas;
+  for (const sql::TableRef& ref : stmt.from) {
+    if (ref.subquery != nullptr) {
+      // Plan for the schema only and discard; planning is cheap (no
+      // execution happens until Init/Next), and pruning never changes a
+      // schema.
+      TANGO_ASSIGN_OR_RETURN(CursorPtr sub,
+                             PlanSelect(*ref.subquery, OutputColumns::All()));
+      schemas.push_back(sub->schema().WithQualifier(ref.alias));
+    } else {
+      TANGO_ASSIGN_OR_RETURN(const Table* table, catalog_->GetTable(ref.table));
+      const std::string qual = ref.alias.empty() ? ref.table : ref.alias;
+      schemas.push_back(table->schema().WithQualifier(qual));
+    }
+  }
+  return schemas;
+}
+
+Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt,
+                                   const OutputColumns& reads) {
+  if (stmt.from.empty()) return Status::InvalidArgument("empty FROM");
+  TANGO_ASSIGN_OR_RETURN(const std::vector<Schema> ref_schemas,
+                         RefSchemas(stmt));
+
+  bool needs_agg = !stmt.group_by.empty();
+  for (const sql::SelectItem& item : stmt.items) {
+    if (!item.star && ContainsAggregate(item.expr)) needs_agg = true;
+  }
+  if (stmt.having != nullptr) needs_agg = true;
+
+  // The columns each FROM entry must produce: those referenced by the kept
+  // items, WHERE (join conditions included), GROUP BY, HAVING and ORDER BY.
+  // An unqualified reference counts for every entry that has the column.
+  std::vector<std::vector<bool>> ref_reads;
+  for (const Schema& schema : ref_schemas) {
+    ref_reads.emplace_back(schema.num_columns(), false);
+  }
+  auto mark = [&](const ExprPtr& e) {
+    ForEachColumnRef(e, [&](const Expr& ref) {
+      const std::string table = ToUpper(ref.table);
+      const std::string name = ToUpper(ref.name);
+      for (size_t i = 0; i < ref_schemas.size(); ++i) {
+        for (size_t j = 0; j < ref_schemas[i].num_columns(); ++j) {
+          const Column& c = ref_schemas[i].column(j);
+          if (c.name == name && (table.empty() || c.table == table)) {
+            ref_reads[i][j] = true;
+          }
+        }
+      }
+    });
+  };
+
+  // An item nobody reads is pruned: produced as a NULL in place. Never
+  // under DISTINCT or aggregation (both look at every item), never in a
+  // UNION arm (PlanSelect plans arms with All()), never when ORDER BY names
+  // it, and never for a star, which keeps everything it expands to.
+  const bool may_prune = !reads.all && !stmt.distinct && !needs_agg;
+  std::vector<bool> pruned(stmt.items.size(), false);
+  // Output position. The join output is the FROM entries concatenated, so
+  // a star expands over `ref_schemas`.
+  size_t pos = 0;
+  for (size_t i = 0; i < stmt.items.size(); ++i) {
+    const sql::SelectItem& item = stmt.items[i];
+    if (item.star) {
+      for (size_t r = 0; r < ref_schemas.size(); ++r) {
+        for (size_t j = 0; j < ref_schemas[r].num_columns(); ++j) {
+          if (StarCovers(item, ref_schemas[r].column(j))) {
+            ref_reads[r][j] = true;
+            ++pos;
+          }
+        }
+      }
+      continue;
+    }
+    pruned[i] = may_prune && !reads.Reads(pos) &&
+                !OrderByNames(stmt, ItemName(item));
+    ++pos;
+    if (!pruned[i]) mark(item.expr);
+  }
+  mark(stmt.where);
+  for (const ExprPtr& g : stmt.group_by) mark(g);
+  mark(stmt.having);
+  for (const sql::OrderItem& item : stmt.order_by) mark(item.expr);
+
   std::vector<ExprPtr> residuals;
-  TANGO_ASSIGN_OR_RETURN(CursorPtr cur, PlanJoins(stmt, &residuals));
+  TANGO_ASSIGN_OR_RETURN(
+      CursorPtr cur,
+      PlanJoins(stmt, ref_schemas, std::move(ref_reads), &residuals));
   if (!residuals.empty()) {
     TANGO_ASSIGN_OR_RETURN(ExprPtr pred,
                            Bind(Expr::AndAll(residuals), cur->schema()));
@@ -172,12 +291,6 @@ Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt) {
   }
 
   // Aggregation or plain projection.
-  bool needs_agg = !stmt.group_by.empty();
-  for (const sql::SelectItem& item : stmt.items) {
-    if (!item.star && ContainsAggregate(item.expr)) needs_agg = true;
-  }
-  if (stmt.having != nullptr) needs_agg = true;
-
   std::vector<ExprPtr> select_exprs;
   Schema out_schema;
   if (needs_agg) {
@@ -186,26 +299,26 @@ Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt) {
   } else {
     // Expand stars and bind items against the join output.
     const Schema& in = cur->schema();
-    for (const sql::SelectItem& item : stmt.items) {
+    for (size_t i = 0; i < stmt.items.size(); ++i) {
+      const sql::SelectItem& item = stmt.items[i];
       if (item.star) {
-        for (size_t i = 0; i < in.num_columns(); ++i) {
-          const Column& c = in.column(i);
-          if (!item.star_qualifier.empty() && c.table != item.star_qualifier) {
-            continue;
-          }
-          select_exprs.push_back(Expr::BoundColumn(static_cast<int>(i), c.name));
-          out_schema.AddColumn(c);
+        for (size_t c = 0; c < in.num_columns(); ++c) {
+          const Column& col = in.column(c);
+          if (!StarCovers(item, col)) continue;
+          select_exprs.push_back(
+              Expr::BoundColumn(static_cast<int>(c), col.name));
+          out_schema.AddColumn(col);
         }
         continue;
       }
+      // A pruned item is still bound and typed, so a bad reference fails
+      // and the declared type is kept; only its value becomes NULL.
       TANGO_ASSIGN_OR_RETURN(ExprPtr bound, Bind(item.expr, in));
       Column col;
-      col.name = !item.alias.empty()
-                     ? item.alias
-                     : (item.expr->kind == Expr::Kind::kColumn ? item.expr->name
-                                                               : item.expr->ToString());
+      col.name = ItemName(item);
       TANGO_ASSIGN_OR_RETURN(col.type, InferType(bound, in));
-      select_exprs.push_back(std::move(bound));
+      select_exprs.push_back(pruned[i] ? Expr::Literal(Value::Null())
+                                       : std::move(bound));
       out_schema.AddColumn(col);
     }
   }
@@ -257,25 +370,9 @@ Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt) {
 }
 
 Result<CursorPtr> Planner::PlanJoins(const sql::SelectStmt& stmt,
+                                     const std::vector<Schema>& ref_schemas,
+                                     std::vector<std::vector<bool>> ref_reads,
                                      std::vector<ExprPtr>* residuals) {
-  if (stmt.from.empty()) return Status::InvalidArgument("empty FROM");
-
-  // Compute each ref's schema for conjunct classification (without planning
-  // the refs yet, so pushed predicates can inform index selection).
-  std::vector<Schema> ref_schemas;
-  for (const sql::TableRef& ref : stmt.from) {
-    if (ref.subquery != nullptr) {
-      // Plan for the schema only and discard; planning is cheap (no
-      // execution happens until Init/Next).
-      TANGO_ASSIGN_OR_RETURN(CursorPtr sub, PlanSelect(*ref.subquery));
-      ref_schemas.push_back(sub->schema().WithQualifier(ref.alias));
-    } else {
-      TANGO_ASSIGN_OR_RETURN(const Table* table, catalog_->GetTable(ref.table));
-      const std::string qual = ref.alias.empty() ? ref.table : ref.alias;
-      ref_schemas.push_back(table->schema().WithQualifier(qual));
-    }
-  }
-
   // Classify WHERE conjuncts: single-ref (pushed), join-level, unresolved.
   std::vector<std::vector<ExprPtr>> pushed(stmt.from.size());
   std::vector<std::vector<ExprPtr>> join_level(stmt.from.size());
@@ -318,7 +415,7 @@ Result<CursorPtr> Planner::PlanJoins(const sql::SelectStmt& stmt,
 
   // Plan the first ref and fold in the rest left-deep.
   auto plan_ref = [&](size_t i) -> Result<CursorPtr> {
-    return PlanTableRef(stmt.from[i], pushed[i]);
+    return PlanTableRef(stmt.from[i], pushed[i], std::move(ref_reads[i]));
   };
   TANGO_ASSIGN_OR_RETURN(CursorPtr cur, plan_ref(0));
 
@@ -453,9 +550,12 @@ Result<CursorPtr> Planner::PlanJoins(const sql::SelectStmt& stmt,
 }
 
 Result<CursorPtr> Planner::PlanTableRef(const sql::TableRef& ref,
-                                        std::vector<ExprPtr> pushed) {
+                                        std::vector<ExprPtr> pushed,
+                                        std::vector<bool> reads) {
   if (ref.subquery != nullptr) {
-    TANGO_ASSIGN_OR_RETURN(CursorPtr sub, PlanSelect(*ref.subquery));
+    TANGO_ASSIGN_OR_RETURN(
+        CursorPtr sub,
+        PlanSelect(*ref.subquery, OutputColumns::Only(std::move(reads))));
     CursorPtr cur = std::make_unique<AliasOp>(std::move(sub), ref.alias);
     if (!pushed.empty()) {
       TANGO_ASSIGN_OR_RETURN(ExprPtr pred,
@@ -466,12 +566,13 @@ Result<CursorPtr> Planner::PlanTableRef(const sql::TableRef& ref,
   }
   TANGO_ASSIGN_OR_RETURN(const Table* table, catalog_->GetTable(ref.table));
   const std::string qual = ref.alias.empty() ? ref.table : ref.alias;
-  return PlanBaseTable(table, qual, std::move(pushed));
+  return PlanBaseTable(table, qual, std::move(pushed), std::move(reads));
 }
 
 Result<CursorPtr> Planner::PlanBaseTable(const Table* table,
                                          const std::string& alias,
-                                         std::vector<ExprPtr> pushed) {
+                                         std::vector<ExprPtr> pushed,
+                                         std::vector<bool> reads) {
   const Schema qualified = table->schema().WithQualifier(alias);
 
   // Gather indexable conjuncts per indexed column.
@@ -524,22 +625,24 @@ Result<CursorPtr> Planner::PlanBaseTable(const Table* table,
     }
   }
 
-  CursorPtr cur;
+  // The scan checks every pushed conjunct itself, whichever of them the
+  // index range already enforces.
+  ScanSpec spec;
+  spec.table = table;
+  spec.alias = alias;
+  spec.columns = std::move(reads);
+  spec.counters = scan_counters_;
+  for (const ExprPtr& c : pushed) {
+    TANGO_ASSIGN_OR_RETURN(ExprPtr bound, Bind(c, qualified));
+    spec.conjuncts.push_back(std::move(bound));
+  }
   if (best_col >= 0) {
     const Range& r = ranges[static_cast<size_t>(best_col)];
-    cur = std::make_unique<IndexScanOp>(table, static_cast<size_t>(best_col),
-                                        alias, r.lo, r.lo_inc, r.hi, r.hi_inc);
-  } else {
-    cur = std::make_unique<TableScanOp>(table, alias);
+    return CursorPtr(std::make_unique<IndexScanOp>(
+        std::move(spec), static_cast<size_t>(best_col), r.lo, r.lo_inc, r.hi,
+        r.hi_inc));
   }
-  if (!pushed.empty()) {
-    // Keep the full predicate as a residual filter: correct regardless of
-    // which conjuncts the index range already enforces.
-    TANGO_ASSIGN_OR_RETURN(ExprPtr pred,
-                           Bind(Expr::AndAll(pushed), cur->schema()));
-    cur = std::make_unique<FilterOp>(std::move(cur), std::move(pred));
-  }
-  return cur;
+  return CursorPtr(std::make_unique<TableScanOp>(std::move(spec)));
 }
 
 double Planner::EstimateColumnSelectivity(const Table* table, size_t column,
@@ -640,11 +743,7 @@ Result<CursorPtr> Planner::PlanAggregation(const sql::SelectStmt& stmt,
         ExprPtr e,
         RewriteOverAggOutput(item.expr, in, group_cols, aggs, agg_nodes));
     Column col;
-    col.name = !item.alias.empty()
-                   ? item.alias
-                   : (item.expr->kind == Expr::Kind::kColumn
-                          ? item.expr->name
-                          : item.expr->ToString());
+    col.name = ItemName(item);
     TANGO_ASSIGN_OR_RETURN(col.type, InferType(e, cur->schema()));
     select_exprs->push_back(std::move(e));
     out_schema->AddColumn(col);

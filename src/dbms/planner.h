@@ -24,6 +24,19 @@ struct SessionConfig {
   double index_scan_threshold = 0.25;
 };
 
+/// The output columns of a SELECT that its consumer reads, by position.
+struct OutputColumns {
+  /// Every column: the outermost statement and CREATE TABLE … AS.
+  static OutputColumns All() { return {}; }
+  static OutputColumns Only(std::vector<bool> mask) {
+    return {false, std::move(mask)};
+  }
+  bool Reads(size_t i) const { return all || (i < mask.size() && mask[i]); }
+
+  bool all = true;
+  std::vector<bool> mask;  // when !all: bit i = output column i is read
+};
+
 /// \brief Rudimentary cost-based planner for the mini-DBMS.
 ///
 /// The middleware deliberately treats this engine as a black box (the paper:
@@ -31,28 +44,35 @@ struct SessionConfig {
 /// this planner is that hidden machinery: selection pushdown, index
 /// selection by estimated selectivity, left-deep join trees with hash /
 /// sort-merge / index-nested-loop joins, sort-based grouping and duplicate
-/// elimination.
+/// elimination — and the view merging a real DBMS does behind the black
+/// box: only the columns a statement references are carried through its
+/// derived tables and decoded by the base-table scans (DESIGN.md §15).
 class Planner {
  public:
-  Planner(Catalog* catalog, const SessionConfig* config)
-      : catalog_(catalog), config_(config) {}
+  Planner(Catalog* catalog, const SessionConfig* config,
+          ScanCounters scan_counters)
+      : catalog_(catalog), config_(config), scan_counters_(scan_counters) {}
 
   /// Plans a (possibly UNION-chained) SELECT into an executable cursor.
-  Result<CursorPtr> PlanSelect(const sql::SelectStmt& stmt);
+  /// Output columns outside `reads` are produced as NULLs of their declared
+  /// type, so the schema and arity never change.
+  Result<CursorPtr> PlanSelect(const sql::SelectStmt& stmt,
+                               const OutputColumns& reads);
 
  private:
-  // One FROM entry with its pushed-down single-relation conjuncts.
-  struct PlannedRef {
-    CursorPtr cursor;
-    std::string qualifier;
-  };
-
-  Result<CursorPtr> PlanArm(const sql::SelectStmt& stmt);
+  Result<CursorPtr> PlanArm(const sql::SelectStmt& stmt,
+                            const OutputColumns& reads);
+  /// Output schema of each FROM entry, qualified by its range variable.
+  Result<std::vector<Schema>> RefSchemas(const sql::SelectStmt& stmt);
   Result<CursorPtr> PlanTableRef(const sql::TableRef& ref,
-                                 std::vector<ExprPtr> pushed);
+                                 std::vector<ExprPtr> pushed,
+                                 std::vector<bool> reads);
   Result<CursorPtr> PlanBaseTable(const Table* table, const std::string& alias,
-                                  std::vector<ExprPtr> pushed);
+                                  std::vector<ExprPtr> pushed,
+                                  std::vector<bool> reads);
   Result<CursorPtr> PlanJoins(const sql::SelectStmt& stmt,
+                              const std::vector<Schema>& ref_schemas,
+                              std::vector<std::vector<bool>> ref_reads,
                               std::vector<ExprPtr>* residuals);
   Result<CursorPtr> PlanAggregation(const sql::SelectStmt& stmt,
                                     CursorPtr input,
@@ -66,6 +86,7 @@ class Planner {
 
   Catalog* catalog_;
   const SessionConfig* config_;
+  ScanCounters scan_counters_;
 };
 
 }  // namespace dbms

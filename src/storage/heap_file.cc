@@ -61,27 +61,35 @@ bool HeapFile::IsDead(const Rid& rid) const {
   return page.dead(rid.slot);
 }
 
-bool HeapFile::Iterator::Next(Tuple* tuple, Rid* rid) {
+Status HeapFile::ReadColumns(const Rid& rid, const std::vector<bool>& mask,
+                             Tuple* tuple) const {
+  if (rid.page >= pages_.size()) return Status::NotFound("bad page");
+  return pages_[rid.page].ReadColumns(rid.slot, mask, tuple);
+}
+
+bool HeapFile::Iterator::NextSlot(Rid* rid) {
   while (page_ < file_->pages_.size()) {
     const Page& p = file_->pages_[page_];
-    if (slot_ < p.num_slots()) {
-      if (p.dead(slot_)) {
-        ++slot_;
-        continue;
-      }
-      Result<Tuple> t = p.Read(slot_);
-      if (!t.ok()) return false;  // pages are never corrupt in-memory
-      *tuple = t.MoveValueOrDie();
-      if (rid != nullptr) {
-        *rid = Rid{static_cast<uint32_t>(page_), static_cast<uint32_t>(slot_)};
-      }
-      ++slot_;
+    while (slot_ < p.num_slots()) {
+      const size_t slot = slot_++;
+      if (p.dead(slot)) continue;
+      *rid = Rid{static_cast<uint32_t>(page_), static_cast<uint32_t>(slot)};
       return true;
     }
     ++page_;
     slot_ = 0;
   }
   return false;
+}
+
+bool HeapFile::Iterator::Next(Tuple* tuple, Rid* rid) {
+  Rid at;
+  if (!NextSlot(&at)) return false;
+  Result<Tuple> t = file_->Get(at);
+  if (!t.ok()) return false;  // pages are never corrupt in-memory
+  *tuple = t.MoveValueOrDie();
+  if (rid != nullptr) *rid = at;
+  return true;
 }
 
 void HeapFile::SerializeTo(WireWriter* w) const {

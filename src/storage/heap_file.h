@@ -41,6 +41,10 @@ class HeapFile {
 
   /// Reads the tuple at `rid` (dead or alive — undo reads tombstones).
   Result<Tuple> Get(const Rid& rid) const;
+  /// Decodes only the masked columns of the tuple at `rid` into a reused
+  /// tuple (Page::ReadColumns).
+  Status ReadColumns(const Rid& rid, const std::vector<bool>& mask,
+                     Tuple* tuple) const;
 
   bool IsDead(const Rid& rid) const;
   uint64_t PageLsn(uint32_t page) const {
@@ -72,6 +76,9 @@ class HeapFile {
 
     /// Advances to the next live tuple; false at end of file.
     bool Next(Tuple* tuple, Rid* rid = nullptr);
+    /// Advances to the next live slot without decoding it (scans decode
+    /// only the columns they need, through ReadColumns).
+    bool NextSlot(Rid* rid);
 
    private:
     const HeapFile* file_;

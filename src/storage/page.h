@@ -86,6 +86,35 @@ class Page {
     return reader.GetTuple();
   }
 
+  /// Decodes only the columns set in `mask` into a reused tuple, stepping
+  /// over the others and stopping after the last masked column. `tuple` is
+  /// resized (with NULLs) to the stored arity when its size differs; masked
+  /// columns are overwritten, the rest are left as they are, so a caller can
+  /// decode one row in several passes. Mask bits beyond the stored arity are
+  /// ignored.
+  Status ReadColumns(size_t slot, const std::vector<bool>& mask,
+                     Tuple* tuple) const {
+    if (slot >= slots_.size()) return Status::NotFound("bad slot");
+    const Slot& s = slots_[slot];
+    WireReader reader(data_.data() + s.offset, s.length);
+    TANGO_ASSIGN_OR_RETURN(const uint32_t arity, reader.GetU32());
+    // Every value costs at least its tag byte: a forged arity must not
+    // drive the resize below.
+    if (arity > s.length) return Status::IOError("implausible tuple arity");
+    if (tuple->size() != arity) tuple->assign(arity, Value());
+    size_t end = std::min<size_t>(arity, mask.size());
+    while (end > 0 && !mask[end - 1]) --end;
+    for (size_t c = 0; c < end; ++c) {
+      if (mask[c]) {
+        TANGO_ASSIGN_OR_RETURN(Value v, reader.GetValue());
+        (*tuple)[c] = std::move(v);
+      } else {
+        TANGO_RETURN_IF_ERROR(reader.SkipValue());
+      }
+    }
+    return Status::OK();
+  }
+
   /// Raw encoded bytes of a slot (snapshot serialization).
   std::pair<const uint8_t*, uint32_t> SlotBytes(size_t slot) const {
     const Slot& s = slots_[slot];

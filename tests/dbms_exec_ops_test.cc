@@ -46,13 +46,48 @@ TEST(IndexScanOpTest, BoundInclusivityMatrix) {
       {Value(int64_t{9}), std::nullopt, true, true, 0},
   };
   for (const Case& c : cases) {
-    IndexScanOp scan(table.get(), 0, "", c.lo, c.lo_inc, c.hi, c.hi_inc);
+    ScanSpec spec;
+    spec.table = table.get();
+    spec.columns = {true, true};
+    IndexScanOp scan(std::move(spec), 0, c.lo, c.lo_inc, c.hi, c.hi_inc);
     auto rows = MaterializeAll(&scan);
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(rows.ValueOrDie().size(), c.expected)
         << (c.lo ? c.lo->ToString() : "-inf") << (c.lo_inc ? "[" : "(") << ".."
         << (c.hi ? c.hi->ToString() : "+inf") << (c.hi_inc ? "]" : ")");
   }
+}
+
+TEST(TableScanOpTest, MaskedScanLeavesUnreadColumnsNullAndCountsOnce) {
+  auto table = MakeTable(Kv({{1, 10}, {2, 20}, {3, 30}, {4, 40}}));
+  obs::Counter examined, decoded;
+  ScanSpec spec;
+  spec.table = table.get();
+  spec.columns = {false, false};
+  spec.conjuncts = {Bind(Expr::Binary(BinaryOp::kGe, Expr::Column("", "V"),
+                                      Expr::Int(20)),
+                         KvSchema())
+                        .ValueOrDie()};
+  spec.counters = {&examined, &decoded};
+  TableScanOp scan(std::move(spec));
+  ASSERT_TRUE(scan.Init().ok());
+
+  // Row path into a caller tuple full of stale values.
+  Tuple t{Value("stale"), Value("stale")};
+  ASSERT_TRUE(scan.Next(&t).ValueOrDie());
+  EXPECT_TRUE(t[0].is_null());
+  EXPECT_EQ(t[1].AsInt(), 20);
+  EXPECT_EQ(examined.load(), 0u);  // accumulated locally until the end
+
+  RowBlock block;
+  ASSERT_EQ(scan.NextBatch(&block).ValueOrDie(), 2u);
+  for (size_t r = 0; r < block.rows(); ++r) {
+    EXPECT_TRUE(block.At(r, 0).is_null());
+    EXPECT_EQ(block.At(r, 1).AsInt(), 30 + 10 * static_cast<int64_t>(r));
+  }
+  ASSERT_EQ(scan.NextBatch(&block).ValueOrDie(), 0u);
+  EXPECT_EQ(examined.load(), 4u);
+  EXPECT_EQ(decoded.load(), 4u);  // V only, once per row
 }
 
 TEST(SortMergeJoinOpTest, DuplicateRunsOnBothSides) {

@@ -183,7 +183,14 @@ TEST(StatementLockTest, SharedAndExclusiveNeverOverlap) {
       }
     });
   }
-  for (int w = 0; w < 2000; ++w) {
+  // Back-to-back writers can keep the readers out entirely on a loaded
+  // host (the lock prefers writers by design), so the writer keeps going
+  // past 2000 rounds until a reader has interleaved — bounded by a
+  // deadline, after which the check below still fails.
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  for (int w = 0;
+       w < 2000 || (shared_sections.load() == 0 && Clock::now() < deadline);
+       ++w) {
     std::unique_lock<dbms::StatementLock> hold(lock);
     writer_inside = true;
     if (readers_inside != 0) ++overlaps;

@@ -59,6 +59,92 @@ TEST(HeapFileTest, AppendScanGet) {
   EXPECT_FALSE(file.Get(Rid{9999, 0}).ok());
 }
 
+std::vector<uint8_t> Encode(const Tuple& t) {
+  WireWriter w;
+  w.PutTuple(t);
+  return w.Take();
+}
+
+Tuple ThreeCols() {
+  return {Value(int64_t{7}), Value("seven"), Value(7.5)};
+}
+
+TEST(PageTest, ReadColumnsEmptyMaskShapesAnAllNullRow) {
+  Page page;
+  ASSERT_EQ(page.Append(Encode(ThreeCols())), 0);
+  Tuple t;
+  ASSERT_TRUE(page.ReadColumns(0, {}, &t).ok());
+  ASSERT_EQ(t.size(), 3u);
+  for (const Value& v : t) EXPECT_TRUE(v.is_null());
+  ASSERT_TRUE(page.ReadColumns(0, {false, false, false}, &t).ok());
+  for (const Value& v : t) EXPECT_TRUE(v.is_null());
+}
+
+TEST(PageTest, ReadColumnsOnlyTheLastColumn) {
+  Page page;
+  ASSERT_EQ(page.Append(Encode(ThreeCols())), 0);
+  Tuple t;
+  ASSERT_TRUE(page.ReadColumns(0, {false, false, true}, &t).ok());
+  ASSERT_EQ(t.size(), 3u);
+  EXPECT_TRUE(t[0].is_null());
+  EXPECT_TRUE(t[1].is_null());
+  EXPECT_EQ(t[2].AsDouble(), 7.5);
+}
+
+TEST(PageTest, ReadColumnsMaskWiderThanTheTuple) {
+  Page page;
+  ASSERT_EQ(page.Append(Encode(ThreeCols())), 0);
+  Tuple t;
+  ASSERT_TRUE(page.ReadColumns(0, std::vector<bool>(10, true), &t).ok());
+  ASSERT_EQ(t.size(), 3u);
+  EXPECT_EQ(t[0].AsInt(), 7);
+  EXPECT_EQ(t[1].AsString(), "seven");
+  EXPECT_EQ(t[2].AsDouble(), 7.5);
+}
+
+TEST(PageTest, ReadColumnsDecodesOneRowInPasses) {
+  Page page;
+  ASSERT_EQ(page.Append(Encode(ThreeCols())), 0);
+  // A reused tuple of the right arity keeps its unmasked columns, so a scan
+  // can decode one row column group by column group.
+  Tuple t(3);
+  ASSERT_TRUE(page.ReadColumns(0, {true}, &t).ok());
+  EXPECT_EQ(t[0].AsInt(), 7);
+  EXPECT_TRUE(t[1].is_null());
+  ASSERT_TRUE(page.ReadColumns(0, {false, true}, &t).ok());
+  EXPECT_EQ(t[0].AsInt(), 7);
+  EXPECT_EQ(t[1].AsString(), "seven");
+  EXPECT_TRUE(t[2].is_null());
+  // A tuple of another arity is re-shaped with NULLs first.
+  Tuple wide(5, Value(int64_t{1}));
+  ASSERT_TRUE(page.ReadColumns(0, {false, true}, &wide).ok());
+  ASSERT_EQ(wide.size(), 3u);
+  EXPECT_TRUE(wide[0].is_null());
+  EXPECT_TRUE(wide[2].is_null());
+  EXPECT_FALSE(page.ReadColumns(1, {true}, &t).ok());  // no such slot
+}
+
+TEST(HeapFileTest, NextSlotSkipsTombstonesWithoutDecoding) {
+  HeapFile file(TwoColSchema(), /*page_size=*/128);
+  std::vector<Rid> rids;
+  for (int64_t i = 0; i < 40; ++i) {
+    rids.push_back(file.Append({Value(i), Value("v")}));
+  }
+  ASSERT_TRUE(file.MarkDeleted(rids[3], 0).ok());
+  ASSERT_TRUE(file.MarkDeleted(rids[39], 0).ok());
+  auto it = file.Scan();
+  Rid rid;
+  std::vector<Rid> seen;
+  while (it.NextSlot(&rid)) seen.push_back(rid);
+  ASSERT_EQ(seen.size(), 38u);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), rids[3]), 0);
+  Tuple t;
+  ASSERT_TRUE(file.ReadColumns(seen[3], {true, false}, &t).ok());
+  EXPECT_EQ(t[0].AsInt(), 4);
+  EXPECT_TRUE(t[1].is_null());
+  EXPECT_FALSE(file.ReadColumns(Rid{9999, 0}, {true}, &t).ok());
+}
+
 TEST(BPlusTreeTest, InsertAndLookup) {
   BPlusTree tree;
   for (int64_t i = 0; i < 1000; ++i) {

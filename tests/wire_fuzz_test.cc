@@ -11,6 +11,7 @@
 #include "common/wire.h"
 #include "gtest/gtest.h"
 #include "net/protocol.h"
+#include "storage/page.h"
 
 // GCC 12's -Wmaybe-uninitialized misfires on the string alternative of the
 // Value variant when vector growth is inlined into the tuple generators;
@@ -215,6 +216,106 @@ TEST(WireFuzzTest, ForgedHugeArityDoesNotAllocate) {
   auto v = r2.GetValue();
   ASSERT_FALSE(v.ok());
   EXPECT_EQ(v.status().code(), StatusCode::kIOError);
+}
+
+// ---------------------------------------------------------------------------
+// Column-skipping decode: scans step over the columns they do not need with
+// SkipValue (through storage::Page::ReadColumns). A damaged slot must fail
+// with IOError and never read past its own bytes.
+
+TEST(WireFuzzTest, SkipValueRejectsForgedLengthsTruncationAndBadTags) {
+  // Every damaged input lives in a buffer of exactly its own size, so the
+  // ASan leg flags any read past it.
+  auto skip = [](const std::vector<uint8_t>& bytes) {
+    const std::vector<uint8_t> exact(bytes);
+    WireReader reader(exact.data(), exact.size());
+    return reader.SkipValue();
+  };
+
+  WireWriter forged;
+  forged.PutU8(3);  // kTagString
+  forged.PutU32(0xFFFFFFF0u);
+  forged.PutU8('x');
+  EXPECT_EQ(skip(forged.buffer()).code(), StatusCode::kIOError);
+
+  for (uint8_t tag : {uint8_t{4}, uint8_t{0x7F}, uint8_t{0xFF}}) {
+    EXPECT_EQ(skip({tag, 0, 0, 0, 0, 0, 0, 0, 0}).code(), StatusCode::kIOError);
+  }
+
+  for (const Value& v : {Value::Null(), Value(int64_t{-3}), Value(2.25),
+                         Value("hello"), Value("")}) {
+    WireWriter w;
+    w.PutValue(v);
+    const std::vector<uint8_t> full = w.Take();
+    WireReader whole(full);
+    ASSERT_TRUE(whole.SkipValue().ok()) << v.ToString();
+    EXPECT_TRUE(whole.AtEnd());
+    for (size_t cut = 0; cut < full.size(); ++cut) {
+      const std::vector<uint8_t> prefix(full.begin(), full.begin() + cut);
+      EXPECT_EQ(skip(prefix).code(), StatusCode::kIOError)
+          << v.ToString() << " cut at " << cut;
+    }
+  }
+}
+
+TEST(WireFuzzTest, ReadColumnsNeverReadsPastTheSlot) {
+  // Slot 0 ends in the middle of its skipped string column; slot 1 holds
+  // exactly the missing bytes. A decoder that read past slot 0 would
+  // "succeed" on the spliced bytes.
+  WireWriter w;
+  w.PutTuple({Value("abcdef"), Value(int64_t{9})});
+  const std::vector<uint8_t> full = w.Take();
+  const size_t cut = 4 + 1 + 4 + 3;  // arity, tag, length, half the chars
+  storage::Page page;
+  page.AppendForce(std::vector<uint8_t>(full.begin(), full.begin() + cut));
+  page.AppendForce(std::vector<uint8_t>(full.begin() + cut, full.end()));
+  Tuple t;
+  EXPECT_EQ(page.ReadColumns(0, {false, true}, &t).code(),
+            StatusCode::kIOError);
+
+  // A forged arity may not drive the re-shape allocation.
+  WireWriter huge;
+  huge.PutU32(0xFFFFFFFFu);
+  huge.PutU8(0);
+  page.AppendForce(huge.Take());
+  EXPECT_EQ(page.ReadColumns(2, {true}, &t).code(), StatusCode::kIOError);
+
+  // Seeded damage: truncations, bit flips and bad tags under random masks
+  // either decode or fail with IOError; an undamaged slot decodes exactly
+  // its masked columns.
+  Rng rng(0x5C4Du);
+  for (int iter = 0; iter < 2000; ++iter) {
+    const Tuple original = RandomTuple(&rng);
+    WireWriter enc;
+    enc.PutTuple(original);
+    std::vector<uint8_t> bytes = enc.Take();
+    const int damage = static_cast<int>(rng.Below(3));
+    if (damage == 1) bytes.resize(rng.Below(bytes.size()));
+    if (damage == 2) {
+      const auto bit = static_cast<uint8_t>(1u << rng.Below(8));
+      bytes[rng.Below(bytes.size())] ^= bit;
+    }
+    std::vector<bool> mask(rng.Below(8));
+    for (size_t c = 0; c < mask.size(); ++c) mask[c] = rng.Below(2) == 1;
+    storage::Page p;
+    p.AppendForce(bytes);
+    Tuple out;
+    const Status st = p.ReadColumns(0, mask, &out);
+    if (!st.ok()) {
+      EXPECT_EQ(st.code(), StatusCode::kIOError);
+      continue;
+    }
+    if (damage != 0) continue;
+    ASSERT_EQ(out.size(), original.size());
+    for (size_t c = 0; c < original.size(); ++c) {
+      if (c < mask.size() && mask[c]) {
+        EXPECT_EQ(out[c].Compare(original[c]), 0);
+        EXPECT_EQ(out[c].is_null(), original[c].is_null());
+      } else {
+        EXPECT_TRUE(out[c].is_null());
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
