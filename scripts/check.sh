@@ -67,8 +67,12 @@ SERVER_SUITES='^(server_test|server_soak|engine_concurrency_test)$'
 # through raw slot bytes, and pooled readers run these scans concurrently
 # under the shared statement lock. ASan referees the decoder's bounds (the
 # forged-length and truncated-slot cases), TSan the shared pages and the
-# scan counters; dbms_planner_test is the pruning-vs-oracle differential.
-SCAN_SUITES='^(storage_test|dbms_planner_test|wire_fuzz_test)$'
+# scan counters; dbms_planner_test is the pruning-vs-oracle differential
+# and the DBMS batch-size differential. The DBMS operator suites run here
+# too: the planner builds its filter, project, sort, dup-elim and merge
+# join from src/exec, so a DBMS sort may spill RunFile temp files, and the
+# joins and aggregation read their children through BatchedReader blocks.
+SCAN_SUITES='^(storage_test|dbms_planner_test|wire_fuzz_test|dbms_exec_ops_test|dbms_test)$'
 
 # A stuck test under a sanitizer leg should fail the run, not hang it.
 CTEST_TIMEOUT=600

@@ -1,7 +1,5 @@
 #include "dbms/exec_ops.h"
 
-#include <algorithm>
-
 namespace tango {
 namespace dbms {
 
@@ -146,110 +144,6 @@ bool IndexScanOp::NextRid(storage::Rid* rid) {
   return true;
 }
 
-// ------------------------------------------------------------------- Filter
-
-Result<bool> FilterOp::Next(Tuple* tuple) {
-  while (true) {
-    TANGO_ASSIGN_OR_RETURN(bool more, child_->Next(tuple));
-    if (!more) return false;
-    if (EvalPredicate(*predicate_, *tuple)) return true;
-  }
-}
-
-Result<size_t> FilterOp::NextBatch(RowBlock* block) {
-  block->Clear();
-  in_block_.set_capacity(block->capacity());
-  Tuple t;
-  while (block->empty()) {
-    TANGO_ASSIGN_OR_RETURN(size_t n, child_->NextBatch(&in_block_));
-    if (n == 0) return 0;
-    for (size_t i = 0; i < n; ++i) {
-      in_block_.MoveRowTo(i, &t);
-      if (EvalPredicate(*predicate_, t)) block->AppendRow(std::move(t));
-    }
-  }
-  return block->rows();
-}
-
-// ------------------------------------------------------------------ Project
-
-Result<bool> ProjectOp::Next(Tuple* tuple) {
-  Tuple in;
-  TANGO_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
-  if (!more) return false;
-  tuple->clear();
-  tuple->reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) tuple->push_back(Eval(*e, in));
-  return true;
-}
-
-Result<size_t> ProjectOp::NextBatch(RowBlock* block) {
-  block->Clear();
-  in_block_.set_capacity(block->capacity());
-  TANGO_ASSIGN_OR_RETURN(size_t n, child_->NextBatch(&in_block_));
-  if (n == 0) return 0;
-  Tuple in, out;
-  for (size_t i = 0; i < n; ++i) {
-    in_block_.MoveRowTo(i, &in);
-    out.clear();
-    out.reserve(exprs_.size());
-    for (const ExprPtr& e : exprs_) out.push_back(Eval(*e, in));
-    block->AppendRow(std::move(out));
-  }
-  return block->rows();
-}
-
-// --------------------------------------------------------------------- Sort
-
-Status SortOp::Init() {
-  rows_.clear();
-  pos_ = 0;
-  TANGO_ASSIGN_OR_RETURN(rows_, MaterializeAll(child_.get()));
-  TupleComparator cmp(keys_);
-  std::stable_sort(rows_.begin(), rows_.end(), cmp);
-  return Status::OK();
-}
-
-Result<bool> SortOp::Next(Tuple* tuple) {
-  if (pos_ >= rows_.size()) return false;
-  *tuple = rows_[pos_++];
-  return true;
-}
-
-Result<size_t> SortOp::NextBatch(RowBlock* block) {
-  block->Clear();
-  // Copies, not moves: the materialized result may be replayed.
-  while (pos_ < rows_.size() && !block->full()) {
-    block->AppendRow(rows_[pos_++]);
-  }
-  return block->rows();
-}
-
-// -------------------------------------------------------------------- Dedup
-
-Result<bool> DedupOp::Next(Tuple* tuple) {
-  Tuple t;
-  while (true) {
-    TANGO_ASSIGN_OR_RETURN(bool more, child_->Next(&t));
-    if (!more) return false;
-    bool same = have_prev_ && t.size() == prev_.size();
-    if (same) {
-      for (size_t i = 0; i < t.size(); ++i) {
-        if (t[i].Compare(prev_[i]) != 0 || t[i].is_null() != prev_[i].is_null()) {
-          same = false;
-          break;
-        }
-      }
-    }
-    prev_ = t;
-    have_prev_ = true;
-    if (!same) {
-      *tuple = std::move(t);
-      return true;
-    }
-  }
-}
-
 // ----------------------------------------------------------------- UnionAll
 
 Status UnionAllOp::Init() {
@@ -267,149 +161,14 @@ Result<bool> UnionAllOp::Next(Tuple* tuple) {
   return false;
 }
 
-// -------------------------------------------------------------- SortMergeJoin
-
-SortMergeJoinOp::SortMergeJoinOp(CursorPtr left, CursorPtr right,
-                                 std::vector<size_t> left_keys,
-                                 std::vector<size_t> right_keys,
-                                 ExprPtr residual)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      left_keys_(std::move(left_keys)),
-      right_keys_(std::move(right_keys)),
-      residual_(std::move(residual)),
-      schema_(Schema::Concat(left_->schema(), right_->schema())) {}
-
-int SortMergeJoinOp::CompareKeys(const Tuple& l, const Tuple& r) const {
-  for (size_t i = 0; i < left_keys_.size(); ++i) {
-    const Value& a = l[left_keys_[i]];
-    const Value& b = r[right_keys_[i]];
-    // NULL keys never match; order them first consistently.
-    const int c = a.Compare(b);
-    if (c != 0) return c;
+Result<size_t> UnionAllOp::NextBatch(RowBlock* block) {
+  while (current_ < children_.size()) {
+    TANGO_ASSIGN_OR_RETURN(size_t n, children_[current_]->NextBatch(block));
+    if (n > 0) return n;
+    ++current_;
   }
+  block->Clear();
   return 0;
-}
-
-Status SortMergeJoinOp::Init() {
-  TANGO_RETURN_IF_ERROR(left_->Init());
-  TANGO_RETURN_IF_ERROR(right_->Init());
-  left_valid_ = false;
-  right_pending_valid_ = false;
-  right_exhausted_ = false;
-  right_group_.clear();
-  group_pos_ = 0;
-  group_matches_left_ = false;
-  TANGO_ASSIGN_OR_RETURN(left_valid_, left_->Next(&left_row_));
-  TANGO_ASSIGN_OR_RETURN(right_pending_valid_, right_->Next(&right_pending_));
-  right_exhausted_ = !right_pending_valid_;
-  return Status::OK();
-}
-
-// Loads into right_group_ the next run of right tuples with equal keys,
-// starting from right_pending_.
-Result<bool> SortMergeJoinOp::FillRightGroup() {
-  right_group_.clear();
-  if (!right_pending_valid_) return false;
-  right_group_.push_back(right_pending_);
-  while (true) {
-    Tuple t;
-    TANGO_ASSIGN_OR_RETURN(bool more, right_->Next(&t));
-    if (!more) {
-      right_pending_valid_ = false;
-      right_exhausted_ = true;
-      break;
-    }
-    // Same key as the group head?
-    bool same = true;
-    for (size_t i = 0; i < right_keys_.size(); ++i) {
-      if (t[right_keys_[i]].Compare(right_group_.front()[right_keys_[i]]) != 0) {
-        same = false;
-        break;
-      }
-    }
-    if (same) {
-      right_group_.push_back(std::move(t));
-    } else {
-      right_pending_ = std::move(t);
-      right_pending_valid_ = true;
-      break;
-    }
-  }
-  return true;
-}
-
-Result<bool> SortMergeJoinOp::Next(Tuple* tuple) {
-  while (true) {
-    // Emit pending (left row x right group) pairs.
-    if (group_matches_left_ && group_pos_ < right_group_.size()) {
-      const Tuple& r = right_group_[group_pos_++];
-      Tuple joined = left_row_;
-      joined.insert(joined.end(), r.begin(), r.end());
-      if (residual_ == nullptr || EvalPredicate(*residual_, joined)) {
-        *tuple = std::move(joined);
-        return true;
-      }
-      continue;
-    }
-    if (group_matches_left_) {
-      // Exhausted the group for this left row; advance left and retry the
-      // same group (next left row may share the key).
-      TANGO_ASSIGN_OR_RETURN(left_valid_, left_->Next(&left_row_));
-      group_pos_ = 0;
-      if (!left_valid_) {
-        // Clear the match flag so a post-exhaustion call cannot replay the
-        // last group against the stale left row: batch drains legitimately
-        // call Next again after a false.
-        group_matches_left_ = false;
-        return false;
-      }
-      if (!right_group_.empty() &&
-          CompareKeys(left_row_, right_group_.front()) == 0) {
-        continue;  // same key: replay group
-      }
-      group_matches_left_ = false;
-      // fall through to group advancement
-    }
-    if (!left_valid_) return false;
-    // Advance the right group until it is >= the left key.
-    while (true) {
-      if (right_group_.empty() ||
-          CompareKeys(left_row_, right_group_.front()) > 0) {
-        TANGO_ASSIGN_OR_RETURN(bool filled, FillRightGroup());
-        if (!filled) {
-          if (right_group_.empty()) return false;  // right fully exhausted
-        }
-        if (right_group_.empty()) return false;
-        continue;
-      }
-      break;
-    }
-    const int c = CompareKeys(left_row_, right_group_.front());
-    if (c < 0) {
-      TANGO_ASSIGN_OR_RETURN(left_valid_, left_->Next(&left_row_));
-      if (!left_valid_) return false;
-      continue;
-    }
-    if (c == 0) {
-      // NULL join keys never match.
-      bool has_null = false;
-      for (size_t k : left_keys_) {
-        if (left_row_[k].is_null()) {
-          has_null = true;
-          break;
-        }
-      }
-      if (has_null) {
-        TANGO_ASSIGN_OR_RETURN(left_valid_, left_->Next(&left_row_));
-        if (!left_valid_) return false;
-        continue;
-      }
-      group_matches_left_ = true;
-      group_pos_ = 0;
-      continue;
-    }
-  }
 }
 
 // ----------------------------------------------------------------- HashJoin
@@ -419,14 +178,16 @@ HashJoinOp::HashJoinOp(CursorPtr left, CursorPtr right,
                        std::vector<size_t> right_keys, ExprPtr residual)
     : left_(std::move(left)),
       right_(std::move(right)),
+      left_reader_(left_.get()),
+      right_reader_(right_.get()),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
       residual_(std::move(residual)),
       schema_(Schema::Concat(left_->schema(), right_->schema())) {}
 
 Status HashJoinOp::Init() {
-  TANGO_RETURN_IF_ERROR(left_->Init());
-  TANGO_RETURN_IF_ERROR(right_->Init());
+  TANGO_RETURN_IF_ERROR(left_reader_.Init());
+  TANGO_RETURN_IF_ERROR(right_reader_.Init());
   hash_table_.clear();
   probe_valid_ = false;
   match_bucket_ = nullptr;
@@ -434,7 +195,7 @@ Status HashJoinOp::Init() {
   // Build on the left input.
   Tuple t;
   while (true) {
-    TANGO_ASSIGN_OR_RETURN(bool more, left_->Next(&t));
+    TANGO_ASSIGN_OR_RETURN(bool more, left_reader_.Next(&t));
     if (!more) break;
     std::vector<Value> key;
     key.reserve(left_keys_.size());
@@ -460,7 +221,7 @@ Result<bool> HashJoinOp::Next(Tuple* tuple) {
       }
       continue;
     }
-    TANGO_ASSIGN_OR_RETURN(probe_valid_, right_->Next(&probe_row_));
+    TANGO_ASSIGN_OR_RETURN(probe_valid_, right_reader_.Next(&probe_row_));
     if (!probe_valid_) return false;
     std::vector<Value> key;
     key.reserve(right_keys_.size());
@@ -483,22 +244,16 @@ NestedLoopJoinOp::NestedLoopJoinOp(CursorPtr left, CursorPtr right,
                                    ExprPtr predicate)
     : left_(std::move(left)),
       right_(std::move(right)),
+      left_reader_(left_.get()),
       predicate_(std::move(predicate)),
       schema_(Schema::Concat(left_->schema(), right_->schema())) {}
 
 Status NestedLoopJoinOp::Init() {
-  TANGO_RETURN_IF_ERROR(left_->Init());
-  TANGO_RETURN_IF_ERROR(right_->Init());
-  inner_.clear();
-  Tuple t;
-  while (true) {
-    TANGO_ASSIGN_OR_RETURN(bool more, right_->Next(&t));
-    if (!more) break;
-    inner_.push_back(std::move(t));
-  }
+  TANGO_RETURN_IF_ERROR(left_reader_.Init());
+  TANGO_ASSIGN_OR_RETURN(inner_, MaterializeAll(right_.get()));
   outer_valid_ = false;
   inner_pos_ = 0;
-  TANGO_ASSIGN_OR_RETURN(outer_valid_, left_->Next(&outer_row_));
+  TANGO_ASSIGN_OR_RETURN(outer_valid_, left_reader_.Next(&outer_row_));
   return Status::OK();
 }
 
@@ -514,7 +269,7 @@ Result<bool> NestedLoopJoinOp::Next(Tuple* tuple) {
       }
     }
     inner_pos_ = 0;
-    TANGO_ASSIGN_OR_RETURN(outer_valid_, left_->Next(&outer_row_));
+    TANGO_ASSIGN_OR_RETURN(outer_valid_, left_reader_.Next(&outer_row_));
   }
   return false;
 }
@@ -528,6 +283,7 @@ IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(CursorPtr outer,
                                              size_t inner_column,
                                              ExprPtr residual)
     : outer_(std::move(outer)),
+      outer_reader_(outer_.get()),
       inner_(inner),
       outer_key_(outer_key),
       inner_column_(inner_column),
@@ -541,7 +297,7 @@ Status IndexNestedLoopJoinOp::Init() {
   if (inner_->GetIndex(inner_column_) == nullptr) {
     return Status::Internal("index nested-loop join without index");
   }
-  TANGO_RETURN_IF_ERROR(outer_->Init());
+  TANGO_RETURN_IF_ERROR(outer_reader_.Init());
   outer_valid_ = false;
   matches_.clear();
   match_pos_ = 0;
@@ -561,7 +317,7 @@ Result<bool> IndexNestedLoopJoinOp::Next(Tuple* tuple) {
       }
       continue;
     }
-    TANGO_ASSIGN_OR_RETURN(outer_valid_, outer_->Next(&outer_row_));
+    TANGO_ASSIGN_OR_RETURN(outer_valid_, outer_reader_.Next(&outer_row_));
     if (!outer_valid_) return false;
     matches_.clear();
     match_pos_ = 0;
@@ -576,6 +332,7 @@ Result<bool> IndexNestedLoopJoinOp::Next(Tuple* tuple) {
 GroupAggOp::GroupAggOp(CursorPtr child, std::vector<size_t> group_cols,
                        std::vector<AggSpec> aggs)
     : child_(std::move(child)),
+      reader_(child_.get()),
       group_cols_(std::move(group_cols)),
       aggs_(std::move(aggs)) {
   // Output schema: group columns (with their child names/types), then one
@@ -599,7 +356,7 @@ GroupAggOp::GroupAggOp(CursorPtr child, std::vector<size_t> group_cols,
 }
 
 Status GroupAggOp::Init() {
-  TANGO_RETURN_IF_ERROR(child_->Init());
+  TANGO_RETURN_IF_ERROR(reader_.Init());
   group_open_ = false;
   pending_valid_ = false;
   input_done_ = false;
@@ -691,7 +448,7 @@ Result<bool> GroupAggOp::Next(Tuple* tuple) {
       pending_valid_ = false;
       more = true;
     } else {
-      TANGO_ASSIGN_OR_RETURN(more, child_->Next(&row));
+      TANGO_ASSIGN_OR_RETURN(more, reader_.Next(&row));
     }
     if (!more) {
       input_done_ = true;

@@ -126,79 +126,6 @@ class IndexScanOp : public StoredRowScan {
   std::optional<storage::BPlusTree::Iterator> it_;
 };
 
-/// \brief Selection: passes tuples satisfying a bound predicate.
-class FilterOp : public Cursor {
- public:
-  FilterOp(CursorPtr child, ExprPtr predicate)
-      : child_(std::move(child)), predicate_(std::move(predicate)) {}
-
-  Status Init() override { return child_->Init(); }
-  Result<bool> Next(Tuple* tuple) override;
-  Result<size_t> NextBatch(RowBlock* block) override;
-  const Schema& schema() const override { return child_->schema(); }
-
- private:
-  CursorPtr child_;
-  ExprPtr predicate_;
-  RowBlock in_block_{RowBlock::kDefaultCapacity};
-};
-
-/// \brief Projection: evaluates bound expressions into a new schema.
-class ProjectOp : public Cursor {
- public:
-  ProjectOp(CursorPtr child, std::vector<ExprPtr> exprs, Schema out_schema)
-      : child_(std::move(child)),
-        exprs_(std::move(exprs)),
-        schema_(std::move(out_schema)) {}
-
-  Status Init() override { return child_->Init(); }
-  Result<bool> Next(Tuple* tuple) override;
-  Result<size_t> NextBatch(RowBlock* block) override;
-  const Schema& schema() const override { return schema_; }
-
- private:
-  CursorPtr child_;
-  std::vector<ExprPtr> exprs_;
-  Schema schema_;
-  RowBlock in_block_{RowBlock::kDefaultCapacity};
-};
-
-/// \brief In-memory sort; materializes its input in Init.
-class SortOp : public Cursor {
- public:
-  SortOp(CursorPtr child, std::vector<SortKey> keys)
-      : child_(std::move(child)), keys_(std::move(keys)) {}
-
-  Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
-  Result<size_t> NextBatch(RowBlock* block) override;
-  const Schema& schema() const override { return child_->schema(); }
-
- private:
-  CursorPtr child_;
-  std::vector<SortKey> keys_;
-  std::vector<Tuple> rows_;
-  size_t pos_ = 0;
-};
-
-/// \brief Removes adjacent duplicates; requires input sorted on all columns.
-class DedupOp : public Cursor {
- public:
-  explicit DedupOp(CursorPtr child) : child_(std::move(child)) {}
-
-  Status Init() override {
-    have_prev_ = false;
-    return child_->Init();
-  }
-  Result<bool> Next(Tuple* tuple) override;
-  const Schema& schema() const override { return child_->schema(); }
-
- private:
-  CursorPtr child_;
-  Tuple prev_;
-  bool have_prev_ = false;
-};
-
 /// \brief Concatenation of children (UNION ALL); schemas must be
 /// union-compatible (first child's schema wins).
 class UnionAllOp : public Cursor {
@@ -208,6 +135,8 @@ class UnionAllOp : public Cursor {
 
   Status Init() override;
   Result<bool> Next(Tuple* tuple) override;
+  /// Hands each arm's blocks through unchanged, arm after arm.
+  Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return children_.front()->schema(); }
 
  private:
@@ -215,38 +144,9 @@ class UnionAllOp : public Cursor {
   size_t current_ = 0;
 };
 
-/// \brief Sort-merge join on equi-keys with an optional residual predicate
-/// (evaluated against the concatenated tuple). Inputs must be sorted on
-/// their key columns. Duplicate key groups are buffered on the right side.
-class SortMergeJoinOp : public Cursor {
- public:
-  SortMergeJoinOp(CursorPtr left, CursorPtr right,
-                  std::vector<size_t> left_keys, std::vector<size_t> right_keys,
-                  ExprPtr residual);
-
-  Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
-  const Schema& schema() const override { return schema_; }
-
- private:
-  int CompareKeys(const Tuple& l, const Tuple& r) const;
-  Result<bool> AdvanceLeft();
-  Result<bool> FillRightGroup();
-
-  CursorPtr left_, right_;
-  std::vector<size_t> left_keys_, right_keys_;
-  ExprPtr residual_;
-  Schema schema_;
-
-  Tuple left_row_;
-  bool left_valid_ = false;
-  Tuple right_pending_;
-  bool right_pending_valid_ = false;
-  bool right_exhausted_ = false;
-  std::vector<Tuple> right_group_;
-  size_t group_pos_ = 0;
-  bool group_matches_left_ = false;
-};
+// The joins and the group-aggregate below keep their row-at-a-time logic
+// and read their children through a BatchedReader, like the middleware's
+// merge join: one virtual call per child block, not per child row.
 
 /// \brief Hash join (build = left, probe = right) on equi-keys with an
 /// optional residual predicate. Output order: left columns then right.
@@ -261,6 +161,7 @@ class HashJoinOp : public Cursor {
 
  private:
   CursorPtr left_, right_;
+  BatchedReader left_reader_, right_reader_;
   std::vector<size_t> left_keys_, right_keys_;
   ExprPtr residual_;
   Schema schema_;
@@ -305,6 +206,7 @@ class NestedLoopJoinOp : public Cursor {
 
  private:
   CursorPtr left_, right_;
+  BatchedReader left_reader_;
   ExprPtr predicate_;
   Schema schema_;
   std::vector<Tuple> inner_;
@@ -330,6 +232,7 @@ class IndexNestedLoopJoinOp : public Cursor {
 
  private:
   CursorPtr outer_;
+  BatchedReader outer_reader_;
   const Table* inner_;
   size_t outer_key_;
   size_t inner_column_;
@@ -368,6 +271,7 @@ class GroupAggOp : public Cursor {
   Tuple EmitGroup();
 
   CursorPtr child_;
+  BatchedReader reader_;
   std::vector<size_t> group_cols_;
   std::vector<AggSpec> aggs_;
   Schema schema_;

@@ -4,6 +4,10 @@
 #include <map>
 #include <optional>
 
+#include "exec/basic.h"
+#include "exec/join.h"
+#include "exec/sort.h"
+
 namespace tango {
 namespace dbms {
 
@@ -18,6 +22,9 @@ class AliasOp : public Cursor {
 
   Status Init() override { return child_->Init(); }
   Result<bool> Next(Tuple* tuple) override { return child_->Next(tuple); }
+  Result<size_t> NextBatch(RowBlock* block) override {
+    return child_->NextBatch(block);
+  }
   const Schema& schema() const override { return schema_; }
 
  private:
@@ -189,8 +196,8 @@ Result<CursorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
   CursorPtr cur = std::make_unique<UnionAllOp>(std::move(arms));
   if (!all_union_all) {
     auto keys = AllColumnsAsc(cur->schema());
-    cur = std::make_unique<SortOp>(std::move(cur), std::move(keys));
-    cur = std::make_unique<DedupOp>(std::move(cur));
+    cur = std::make_unique<exec::SortCursor>(std::move(cur), std::move(keys));
+    cur = std::make_unique<exec::DupElimCursor>(std::move(cur));
   }
   return ApplyOrderBy(stmt, std::move(cur));
 }
@@ -287,7 +294,7 @@ Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt,
   if (!residuals.empty()) {
     TANGO_ASSIGN_OR_RETURN(ExprPtr pred,
                            Bind(Expr::AndAll(residuals), cur->schema()));
-    cur = std::make_unique<FilterOp>(std::move(cur), std::move(pred));
+    cur = std::make_unique<exec::FilterCursor>(std::move(cur), std::move(pred));
   }
 
   // Aggregation or plain projection.
@@ -351,17 +358,17 @@ Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt,
             size_t idx, cur->schema().IndexOf(item.expr->table, item.expr->name));
         keys.push_back({idx, item.ascending});
       }
-      cur = std::make_unique<SortOp>(std::move(cur), std::move(keys));
+      cur = std::make_unique<exec::SortCursor>(std::move(cur), std::move(keys));
     }
   }
 
-  cur = std::make_unique<ProjectOp>(std::move(cur), std::move(select_exprs),
-                                    std::move(out_schema));
+  cur = std::make_unique<exec::ProjectCursor>(
+      std::move(cur), std::move(select_exprs), std::move(out_schema));
 
   if (stmt.distinct) {
     auto keys = AllColumnsAsc(cur->schema());
-    cur = std::make_unique<SortOp>(std::move(cur), std::move(keys));
-    cur = std::make_unique<DedupOp>(std::move(cur));
+    cur = std::make_unique<exec::SortCursor>(std::move(cur), std::move(keys));
+    cur = std::make_unique<exec::DupElimCursor>(std::move(cur));
   }
   if (order_in_output) {
     TANGO_ASSIGN_OR_RETURN(cur, ApplyOrderBy(stmt, std::move(cur)));
@@ -532,11 +539,18 @@ Result<CursorPtr> Planner::PlanJoins(const sql::SelectStmt& stmt,
         lsort.push_back({lkeys[e], true});
         rsort.push_back({rkeys[e], true});
       }
-      cur = std::make_unique<SortOp>(std::move(cur), std::move(lsort));
-      right = std::make_unique<SortOp>(std::move(right), std::move(rsort));
-      cur = std::make_unique<SortMergeJoinOp>(std::move(cur), std::move(right),
-                                              std::move(lkeys), std::move(rkeys),
-                                              std::move(residual));
+      cur = std::make_unique<exec::SortCursor>(std::move(cur),
+                                               std::move(lsort));
+      right = std::make_unique<exec::SortCursor>(std::move(right),
+                                                 std::move(rsort));
+      cur = std::make_unique<exec::MergeJoinCursor>(
+          std::move(cur), std::move(right), std::move(lkeys), std::move(rkeys));
+      // An inner join's residual filters the joined pairs: the same rows
+      // the residual-per-pair check of a merge join would keep.
+      if (residual != nullptr) {
+        cur = std::make_unique<exec::FilterCursor>(std::move(cur),
+                                                   std::move(residual));
+      }
     } else {
       // kAuto / kHash: hash join, building on the accumulated left side.
       cur = std::make_unique<HashJoinOp>(std::move(cur), std::move(right),
@@ -560,7 +574,8 @@ Result<CursorPtr> Planner::PlanTableRef(const sql::TableRef& ref,
     if (!pushed.empty()) {
       TANGO_ASSIGN_OR_RETURN(ExprPtr pred,
                              Bind(Expr::AndAll(pushed), cur->schema()));
-      cur = std::make_unique<FilterOp>(std::move(cur), std::move(pred));
+      cur = std::make_unique<exec::FilterCursor>(std::move(cur),
+                                                 std::move(pred));
     }
     return cur;
   }
@@ -725,7 +740,7 @@ Result<CursorPtr> Planner::PlanAggregation(const sql::SelectStmt& stmt,
   if (!group_cols.empty()) {
     std::vector<SortKey> keys;
     for (size_t c : group_cols) keys.push_back({c, true});
-    cur = std::make_unique<SortOp>(std::move(cur), std::move(keys));
+    cur = std::make_unique<exec::SortCursor>(std::move(cur), std::move(keys));
   }
   cur = std::make_unique<GroupAggOp>(std::move(cur), group_cols, aggs);
 
@@ -734,7 +749,7 @@ Result<CursorPtr> Planner::PlanAggregation(const sql::SelectStmt& stmt,
     TANGO_ASSIGN_OR_RETURN(
         ExprPtr pred,
         RewriteOverAggOutput(stmt.having, in, group_cols, aggs, agg_nodes));
-    cur = std::make_unique<FilterOp>(std::move(cur), std::move(pred));
+    cur = std::make_unique<exec::FilterCursor>(std::move(cur), std::move(pred));
   }
 
   // Select expressions over the aggregate output.
@@ -763,7 +778,8 @@ Result<CursorPtr> Planner::ApplyOrderBy(const sql::SelectStmt& stmt,
         size_t idx, input->schema().IndexOf(item.expr->table, item.expr->name));
     keys.push_back({idx, item.ascending});
   }
-  return CursorPtr(std::make_unique<SortOp>(std::move(input), std::move(keys)));
+  return CursorPtr(
+      std::make_unique<exec::SortCursor>(std::move(input), std::move(keys)));
 }
 
 }  // namespace dbms

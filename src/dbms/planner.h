@@ -44,7 +44,9 @@ struct OutputColumns {
 /// this planner is that hidden machinery: selection pushdown, index
 /// selection by estimated selectivity, left-deep join trees with hash /
 /// sort-merge / index-nested-loop joins, sort-based grouping and duplicate
-/// elimination — and the view merging a real DBMS does behind the black
+/// elimination (filter, project, sort, dup-elim and merge join are the
+/// `src/exec` operators the middleware runs, so both sites share that
+/// code) — and the view merging a real DBMS does behind the black
 /// box: only the columns a statement references are carried through its
 /// derived tables and decoded by the base-table scans (DESIGN.md §15).
 class Planner {

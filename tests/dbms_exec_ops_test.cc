@@ -1,10 +1,14 @@
 // Direct unit tests for the DBMS physical operators (the engine-level SQL
-// tests cover them end to end; these pin the edge cases).
+// tests cover them end to end; these pin the edge cases). Filter, project,
+// sort, duplicate elimination and merge join come from src/exec; their
+// DBMS-side cases here go through the planner's composition of them.
 
 #include <gtest/gtest.h>
 
 #include "dbms/catalog.h"
+#include "dbms/engine.h"
 #include "dbms/exec_ops.h"
+#include "exec/basic.h"
 
 namespace tango {
 namespace dbms {
@@ -90,32 +94,42 @@ TEST(TableScanOpTest, MaskedScanLeavesUnreadColumnsNullAndCountsOnce) {
   EXPECT_EQ(decoded.load(), 4u);  // V only, once per row
 }
 
-TEST(SortMergeJoinOpTest, DuplicateRunsOnBothSides) {
-  auto left = std::make_unique<VectorCursor>(
-      KvSchema().WithQualifier("L"), Kv({{1, 1}, {1, 2}, {2, 3}, {4, 4}}));
-  auto right = std::make_unique<VectorCursor>(
-      KvSchema().WithQualifier("R"),
-      Kv({{1, 5}, {1, 6}, {1, 7}, {3, 8}, {4, 9}}));
-  SortMergeJoinOp join(std::move(left), std::move(right), {0}, {0}, nullptr);
-  auto rows = MaterializeAll(&join);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  // key 1: 2x3 = 6; key 4: 1 -> 7 pairs.
-  EXPECT_EQ(rows.ValueOrDie().size(), 7u);
+/// Runs `sql` on `db` with the DBMS join method forced to sort-merge.
+std::vector<Tuple> RunMerge(Engine* db, const std::string& sql) {
+  db->config().forced_join = SessionConfig::JoinMethod::kMerge;
+  auto r = db->Execute(sql);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? r.ValueOrDie().rows : std::vector<Tuple>{};
 }
 
-TEST(SortMergeJoinOpTest, ResidualOnConcatenatedTuple) {
-  auto left = std::make_unique<VectorCursor>(KvSchema().WithQualifier("L"),
-                                             Kv({{1, 1}, {1, 9}}));
-  auto right = std::make_unique<VectorCursor>(KvSchema().WithQualifier("R"),
-                                              Kv({{1, 2}, {1, 8}}));
-  // Residual: L.V < R.V — positions 1 and 3 of the concatenated tuple.
-  auto residual = Expr::Binary(BinaryOp::kLt, Expr::BoundColumn(1),
-                               Expr::BoundColumn(3));
-  SortMergeJoinOp join(std::move(left), std::move(right), {0}, {0}, residual);
-  auto rows = MaterializeAll(&join);
-  ASSERT_TRUE(rows.ok());
-  // Pairs: (1,2)no wait (V pairs): (1,2)y (1,8)y (9,2)n (9,8)n -> 2.
-  EXPECT_EQ(rows.ValueOrDie().size(), 2u);
+void LoadKvTable(Engine* db, const std::string& name,
+                 const std::vector<Tuple>& rows) {
+  ASSERT_TRUE(db->Execute("CREATE TABLE " + name + " (K INT, V INT)").ok());
+  ASSERT_TRUE(db->BulkLoad(name, rows).ok());
+}
+
+// A forced merge join is a SortCursor per input under a MergeJoinCursor.
+TEST(MergeJoinCompositionTest, DuplicateRunsOnBothSides) {
+  Engine db;
+  LoadKvTable(&db, "L", Kv({{4, 4}, {1, 2}, {2, 3}, {1, 1}}));
+  LoadKvTable(&db, "R", Kv({{3, 8}, {1, 6}, {4, 9}, {1, 5}, {1, 7}}));
+  auto rows = RunMerge(&db, "SELECT L.V, R.V FROM L, R WHERE L.K = R.K");
+  // key 1: 2x3 = 6; key 4: 1 -> 7 pairs.
+  EXPECT_EQ(rows.size(), 7u);
+}
+
+// The join's cross-table residual is a FilterCursor over the merge join.
+TEST(MergeJoinCompositionTest, ResidualFiltersJoinedPairs) {
+  Engine db;
+  LoadKvTable(&db, "L", Kv({{1, 1}, {1, 9}}));
+  LoadKvTable(&db, "R", Kv({{1, 2}, {1, 8}}));
+  auto rows = RunMerge(
+      &db, "SELECT L.V, R.V FROM L, R WHERE L.K = R.K AND L.V < R.V "
+           "ORDER BY L.V, R.V");
+  // V pairs: (1,2) y, (1,8) y, (9,2) n, (9,8) n.
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][1].AsInt(), 2);
+  EXPECT_EQ(rows[1][1].AsInt(), 8);
 }
 
 TEST(HashJoinOpTest, NullKeysNeverMatchAndBuildSideEmpty) {
@@ -178,13 +192,23 @@ TEST(GroupAggOpTest, MinMaxOverStrings) {
   EXPECT_EQ(out[0][2].AsString(), "gamma");
 }
 
-TEST(DedupOpTest, NullsCompareEqualForDeduplication) {
+TEST(DupElimCursorTest, NullsCompareEqualForDeduplication) {
   Schema schema({{"", "X", DataType::kInt}});
   std::vector<Tuple> rows = {{Value::Null()}, {Value::Null()},
                              {Value(int64_t{1})}};
-  DedupOp dedup(std::make_unique<VectorCursor>(schema, rows));
+  exec::DupElimCursor dedup(std::make_unique<VectorCursor>(schema, rows));
   auto out = MaterializeAll(&dedup).ValueOrDie();
   EXPECT_EQ(out.size(), 2u);
+
+  // The same through the DBMS's DISTINCT, which sorts NULLs first.
+  Engine db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE U (X INT)").ok());
+  ASSERT_TRUE(
+      db.Execute("INSERT INTO U VALUES (NULL), (1), (NULL), (1)").ok());
+  auto distinct = db.Execute("SELECT DISTINCT X FROM U");
+  ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+  ASSERT_EQ(distinct.ValueOrDie().rows.size(), 2u);
+  EXPECT_TRUE(distinct.ValueOrDie().rows[0][0].is_null());
 }
 
 TEST(NestedLoopJoinOpTest, EmptySidesAndNullPredicate) {

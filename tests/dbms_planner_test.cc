@@ -12,6 +12,7 @@
 #include "common/date.h"
 #include "common/rng.h"
 #include "dbms/engine.h"
+#include "sql/parser.h"
 #include "workload/uis.h"
 
 namespace tango {
@@ -78,6 +79,7 @@ TEST(PlannerTest, ForcedJoinMethodsAgreeOnThreeWayJoin) {
   const char* q =
       "SELECT A.V, B.V, C.V FROM A, B, C "
       "WHERE A.K = B.K AND B.K = C.K AND A.V < 50 AND B.V < 40 AND C.V < 30 "
+      "AND A.V < B.V "  // cross-table residual: a filter over a merge join
       "ORDER BY A.V, B.V, C.V";
   std::vector<std::vector<Tuple>> results;
   for (auto m : {SessionConfig::JoinMethod::kAuto,
@@ -228,6 +230,114 @@ TEST(PlannerTest, GreatestLeastInProjections) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GE(r.ValueOrDie().rows[0][0].AsInt(), 1);
   EXPECT_LE(r.ValueOrDie().rows[9][1].AsInt(), 5);
+}
+
+/// Plans `sql` through Planner::PlanSelect with `db`'s catalog and session
+/// settings; null on a planning error.
+CursorPtr PlanQuery(Engine* db, const std::string& sql) {
+  auto stmt = sql::Parser::Parse(sql);
+  EXPECT_TRUE(stmt.ok()) << sql << ": " << stmt.status().ToString();
+  if (!stmt.ok()) return nullptr;
+  Planner planner(&db->catalog(), &db->config(), ScanCounters{});
+  auto plan =
+      planner.PlanSelect(*stmt.ValueOrDie().select, OutputColumns::All());
+  EXPECT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
+  return plan.ok() ? plan.MoveValueOrDie() : nullptr;
+}
+
+/// Drains through `Next`, then checks exhaustion sticks.
+std::vector<Tuple> DrainRows(Cursor* cursor) {
+  std::vector<Tuple> rows;
+  EXPECT_TRUE(cursor->Init().ok());
+  Tuple t;
+  while (true) {
+    auto more = cursor->Next(&t);
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !more.ValueOrDie()) break;
+    rows.push_back(t);
+  }
+  EXPECT_FALSE(cursor->Next(&t).ValueOrDie());
+  return rows;
+}
+
+/// Drains through `NextBatch` with blocks of `capacity` rows, then checks
+/// exhaustion sticks.
+std::vector<Tuple> DrainBlocks(Cursor* cursor, size_t capacity) {
+  std::vector<Tuple> rows;
+  EXPECT_TRUE(cursor->Init().ok());
+  RowBlock block(capacity);
+  Tuple t;
+  while (true) {
+    auto n = cursor->NextBatch(&block);
+    EXPECT_TRUE(n.ok()) << n.status().ToString();
+    if (!n.ok() || n.ValueOrDie() == 0) break;
+    for (size_t i = 0; i < n.ValueOrDie(); ++i) {
+      block.MoveRowTo(i, &t);
+      rows.push_back(std::move(t));
+    }
+  }
+  EXPECT_EQ(cursor->NextBatch(&block).ValueOrDie(), 0u);
+  return rows;
+}
+
+// Every DBMS plan shape yields the same rows, in the same order, whether
+// drained row by row or in blocks of any size: derived tables, UNION and
+// UNION ALL, DISTINCT, GROUP BY/HAVING, ORDER BY, and each forced join
+// method (index and block nested loop, hash, merge with a residual). One
+// plan serves every drain, so each re-Init must replay from the start.
+TEST(PlannerTest, BatchDrainsMatchRowDrainAtEveryCapacity) {
+  Engine db;
+  LoadKv(&db, "A", 300, 30);
+  LoadKv(&db, "B", 200, 30);
+  LoadKv(&db, "C", 100, 30);
+  ASSERT_TRUE(db.Execute("CREATE INDEX IBK ON B (K)").ok());
+  ASSERT_TRUE(db.Execute("ANALYZE").ok());
+  const std::string kJoin =
+      "SELECT A.V, B.V, Y.V FROM A, B, (SELECT K, V FROM C) Y "
+      "WHERE A.K = B.K AND B.K = Y.K AND A.V < B.V AND A.V < 90 "
+      "AND B.V < 120";
+  const std::vector<std::pair<SessionConfig::JoinMethod, std::string>>
+      queries = {
+          {SessionConfig::JoinMethod::kAuto,
+           "SELECT X.K, X.V FROM (SELECT K, V FROM A WHERE V < 200) X "
+           "WHERE X.K > 3"},
+          {SessionConfig::JoinMethod::kAuto,
+           "SELECT K FROM A WHERE V < 50 UNION ALL "
+           "SELECT K FROM B WHERE V < 20 UNION ALL SELECT K FROM C"},
+          {SessionConfig::JoinMethod::kAuto,
+           "SELECT K FROM A UNION SELECT K FROM B"},
+          {SessionConfig::JoinMethod::kAuto,
+           "SELECT DISTINCT K FROM B WHERE V < 100"},
+          {SessionConfig::JoinMethod::kAuto,
+           "SELECT K, COUNT(*) AS N, SUM(V) AS S FROM A GROUP BY K "
+           "HAVING SUM(V) > 1400"},
+          {SessionConfig::JoinMethod::kAuto, "SELECT COUNT(*) AS N FROM A"},
+          {SessionConfig::JoinMethod::kAuto,
+           "SELECT K, V FROM A ORDER BY K DESC, V"},
+          {SessionConfig::JoinMethod::kAuto, kJoin},
+          {SessionConfig::JoinMethod::kHash, kJoin},
+          {SessionConfig::JoinMethod::kMerge, kJoin},
+          {SessionConfig::JoinMethod::kNestedLoop, kJoin},
+      };
+  for (const auto& [method, sql] : queries) {
+    db.config().forced_join = method;
+    CursorPtr plan = PlanQuery(&db, sql);
+    ASSERT_NE(plan, nullptr);
+    const std::vector<Tuple> expected = DrainRows(plan.get());
+    EXPECT_GT(expected.size(), 0u) << sql;
+    for (size_t capacity : {size_t{1}, size_t{2}, size_t{7}, size_t{1024}}) {
+      const std::vector<Tuple> got = DrainBlocks(plan.get(), capacity);
+      ASSERT_EQ(got.size(), expected.size()) << sql << " @" << capacity;
+      for (size_t r = 0; r < got.size(); ++r) {
+        ASSERT_EQ(got[r].size(), expected[r].size());
+        for (size_t c = 0; c < got[r].size(); ++c) {
+          EXPECT_EQ(got[r][c].Compare(expected[r][c]), 0)
+              << sql << " @" << capacity << " row " << r;
+        }
+      }
+    }
+  }
+  db.config().forced_join = SessionConfig::JoinMethod::kAuto;
 }
 
 // ---------------------------------------------------------------------------
