@@ -43,11 +43,13 @@ JOBS="${1:-$(nproc)}"
 ROBUSTNESS_SUITES='^(fault_matrix_test|wire_fuzz_test|recovery_test)$'
 OBS_SUITES='^(obs_test|trace_test|explain_analyze_test)$'
 ADAPT_SUITES='^(plan_cache_test|feedback_test|fingerprint_test)$'
-# The batch/tuple differential sweeps: exec_property_test proves every
-# operator bit-identical between Next and NextBatch at batch sizes
-# {1,2,7,1024}, and parallel_exec_test does the same for the parallel
-# variants at DOP 4 — ASan catches a moved-from row reused, TSan a racy
-# block handoff, so both suites run under both sanitizers by name.
+# The block-capacity differential sweeps: exec_property_test drains every
+# operator at block capacities {2,7,1024} against the one-row-block
+# reference (and filter/project/sort against an oracle computed directly
+# over the input), checking that exhaustion sticks, and parallel_exec_test
+# checks the parallel variants at DOP 4 — ASan catches a moved-from row
+# reused, TSan a racy block handoff, so both suites run under both
+# sanitizers by name.
 VECTOR_SUITES='^(exec_property_test|parallel_exec_test)$'
 DURABILITY_SUITES='^(wal_recovery_test|write_churn_test|engine_concurrency_test)$'
 # Mid-query replanning: the replan-vs-static differential plus the
@@ -113,7 +115,7 @@ run_config() {
     echo "=== ${name}: adaptive suites (plan cache + feedback + fingerprint) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${ADAPT_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
-    echo "=== ${name}: vectorization suites (batch/tuple differential + parallel) ==="
+    echo "=== ${name}: vectorization suites (block-capacity differential + parallel) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${VECTOR_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
     echo "=== ${name}: durability suites (WAL crash matrix + write churn) ==="

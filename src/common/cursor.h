@@ -13,8 +13,7 @@
 namespace tango {
 
 /// \brief Pipelined iterator over tuples — the paper's result-set interface
-/// with init() and getNext() (Figure 2), extended with a vectorized batch
-/// path.
+/// with init() and getNext() (Figure 2), pulled a block of rows at a time.
 ///
 /// Both the middleware execution engine (XXL-style algorithms) and the DBMS
 /// physical operators implement this interface; `Init` may do real work
@@ -23,36 +22,54 @@ class Cursor {
  public:
   virtual ~Cursor() = default;
 
-  /// Prepares the cursor; called once before the first Next.
+  /// Prepares the cursor; called before the first NextBatch. Calling it
+  /// again restarts the stream from the beginning.
   virtual Status Init() = 0;
 
-  /// Produces the next tuple; returns false when exhausted.
-  virtual Result<bool> Next(Tuple* tuple) = 0;
-
-  /// Vectorized variant: clears `block` and fills it with up to
+  /// getNext(), one block at a time: clears `block` and fills it with up to
   /// `block->capacity()` rows; returns the number appended. Zero means
-  /// exhausted. A *partial* (non-zero, under-capacity) block does NOT imply
+  /// exhausted, and every later call returns zero again until the next
+  /// `Init`. A *partial* (non-zero, under-capacity) block does NOT imply
   /// exhaustion — producers such as the wire cursor surface one transfer
   /// batch per call — so consumers must keep calling until they see zero.
-  ///
-  /// The default implementation loops the legacy `Next`, so every cursor
-  /// supports batching; hot operators override it natively. Mixing `Next`
-  /// and `NextBatch` on one cursor between `Init`s is allowed — both drain
-  /// the same underlying stream in order.
-  virtual Result<size_t> NextBatch(RowBlock* block) {
-    block->Clear();
-    Tuple t;
-    while (!block->full()) {
-      TANGO_ASSIGN_OR_RETURN(bool more, Next(&t));
-      if (!more) break;
-      block->AppendRow(std::move(t));
-    }
-    return block->rows();
-  }
+  /// Operators whose logic is row-at-a-time implement this with `FillBlock`.
+  virtual Result<size_t> NextBatch(RowBlock* block) = 0;
 
   /// Output schema; valid after construction.
   virtual const Schema& schema() const = 0;
 };
+
+/// Implements `NextBatch` for an operator whose control flow is inherently
+/// tuple-oriented (merge join, difference, group-agg): clears `block`, then
+/// appends rows from the operator's private row step `next_row(Tuple*)`
+/// until the block is full or the step returns false. The step must keep
+/// returning false once it has, so that exhaustion sticks.
+template <typename RowStep>
+Result<size_t> FillBlock(RowBlock* block, RowStep&& next_row) {
+  block->Clear();
+  Tuple t;
+  while (!block->full()) {
+    TANGO_ASSIGN_OR_RETURN(bool more, next_row(&t));
+    if (!more) break;
+    block->AppendRow(std::move(t));
+  }
+  return block->rows();
+}
+
+/// Moves every row of `block` onto the end of `rows`, growing `rows`
+/// geometrically but never by less than the incoming block — the
+/// materialization points (root drain, transfers) avoid reallocation churn.
+inline void AppendRows(RowBlock* block, std::vector<Tuple>* rows) {
+  const size_t n = block->rows();
+  if (rows->capacity() < rows->size() + n) {
+    rows->reserve(std::max(rows->size() + n, rows->capacity() * 2));
+  }
+  Tuple t;
+  for (size_t i = 0; i < n; ++i) {
+    block->MoveRowTo(i, &t);
+    rows->push_back(std::move(t));
+  }
+}
 
 using CursorPtr = std::unique_ptr<Cursor>;
 
@@ -61,8 +78,8 @@ using CursorPtr = std::unique_ptr<Cursor>;
 /// Operators whose control flow is inherently tuple-oriented (merge join,
 /// plane sweep, difference) read their children through this adapter: the
 /// child is drained in whole blocks (one virtual call per block), and the
-/// operator's own row logic stays bit-identical. `Next` here is non-virtual
-/// and serves moves out of the buffered block.
+/// operator's own row logic is unchanged. `Next` here is non-virtual and
+/// serves moves out of the buffered block.
 class BatchedReader {
  public:
   explicit BatchedReader(Cursor* child,
@@ -120,16 +137,6 @@ class VectorCursor : public Cursor {
     return Status::OK();
   }
 
-  Result<bool> Next(Tuple* tuple) override {
-    if (pos_ >= rows_.size()) return false;
-    if (drain_ == Drain::kOneShot) {
-      *tuple = std::move(rows_[pos_++]);
-    } else {
-      *tuple = rows_[pos_++];
-    }
-    return true;
-  }
-
   Result<size_t> NextBatch(RowBlock* block) override {
     block->Clear();
     while (pos_ < rows_.size() && !block->full()) {
@@ -151,26 +158,16 @@ class VectorCursor : public Cursor {
   size_t pos_ = 0;
 };
 
-/// Drains a cursor into a vector (calls Init first). Pulls whole blocks —
-/// one virtual call per batch — and grows the result geometrically but never
-/// by less than the incoming block, so materialization points (sort runs,
-/// transfers, the root drain) avoid per-row virtual calls and reallocation
-/// churn.
+/// Drains a cursor into a vector (calls Init first), pulling whole blocks —
+/// one virtual call per batch.
 inline Result<std::vector<Tuple>> MaterializeAll(Cursor* cursor) {
   TANGO_RETURN_IF_ERROR(cursor->Init());
   std::vector<Tuple> rows;
   RowBlock block;
-  Tuple t;
   while (true) {
     TANGO_ASSIGN_OR_RETURN(size_t n, cursor->NextBatch(&block));
     if (n == 0) break;
-    if (rows.capacity() < rows.size() + n) {
-      rows.reserve(std::max(rows.size() + n, rows.capacity() * 2));
-    }
-    for (size_t i = 0; i < n; ++i) {
-      block.MoveRowTo(i, &t);
-      rows.push_back(std::move(t));
-    }
+    AppendRows(&block, &rows);
   }
   return rows;
 }

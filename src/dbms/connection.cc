@@ -29,58 +29,32 @@ class RemoteCursor : public Cursor {
         server_block_(prefetch_) {}
 
   Status Init() override {
-    block_.Clear();
-    pos_ = 0;
     batch_no_ = 0;
     server_done_ = false;
     const auto engine = conn_->AcquireEngineShared();
     return server_->Init();
   }
 
-  Result<bool> Next(Tuple* tuple) override {
-    while (pos_ >= block_.rows()) {
-      if (server_done_) return false;
-      TANGO_RETURN_IF_ERROR(FetchBlock());
-      if (block_.empty()) return false;
-    }
-    block_.MoveRowTo(pos_++, tuple);
-    return true;
-  }
-
+  /// Decodes each wire block straight into the consumer's block: one
+  /// server block per call, whatever the consumer's capacity.
   Result<size_t> NextBatch(RowBlock* block) override {
     block->Clear();
-    while (pos_ >= block_.rows()) {
-      if (server_done_) return 0;
-      TANGO_RETURN_IF_ERROR(FetchBlock());
-      if (block_.empty()) return 0;
-    }
-    if (pos_ == 0) {
-      // Hand the whole decoded block to the consumer without re-packing.
-      const size_t cap = block->capacity();
-      *block = std::move(block_);
-      block->set_capacity(cap);
-      block_ = RowBlock();
-      return block->rows();
-    }
-    Tuple t;
-    while (pos_ < block_.rows() && !block->full()) {
-      block_.MoveRowTo(pos_++, &t);
-      block->AppendRow(std::move(t));
-    }
+    if (server_done_) return 0;
+    TANGO_RETURN_IF_ERROR(FetchBlock(block));
     return block->rows();
   }
 
   const Schema& schema() const override { return schema_; }
 
  private:
-  Status FetchBlock() {
+  /// Fetches, frames and decodes the next server block into `block`; leaves
+  /// it empty (and sets `server_done_`) once the server plan is exhausted.
+  Status FetchBlock(RowBlock* block) {
     // A cancelled/expired query stops driving the wire at the next batch.
     TANGO_RETURN_IF_ERROR(CheckControl(control_));
     // Per-batch wire lock: concurrent remote cursors (prefetch threads)
     // interleave batches instead of racing on the engine and counters.
     const auto wire = conn_->AcquireWire();
-    block_.Clear();
-    pos_ = 0;
     // Server side: produce + serialize one block (one NextBatch of the
     // server plan — the block boundary is the batch boundary).
     server_block_.Clear();
@@ -132,9 +106,9 @@ class RemoteCursor : public Cursor {
                                  frame.message());
     }
     WireReader reader(payload, len);
-    Result<size_t> decoded = reader.GetRowBlock(&block_);
+    Result<size_t> decoded = reader.GetRowBlock(block);
     if (!decoded.ok() || !reader.AtEnd()) {
-      block_.Clear();
+      block->Clear();
       return Status::Unavailable(
           "prefetch block undecodable: " +
           (decoded.ok() ? std::string("trailing bytes after block")
@@ -150,8 +124,6 @@ class RemoteCursor : public Cursor {
   QueryControlPtr control_;
   bool faulted_;
   RowBlock server_block_;  // server-side staging, reused across fetches
-  RowBlock block_;         // client-side decoded block being drained
-  size_t pos_ = 0;
   uint64_t batch_no_ = 0;
   bool server_done_ = false;
 };

@@ -79,16 +79,6 @@ Result<bool> StoredRowScan::Advance() {
   return false;
 }
 
-Result<bool> StoredRowScan::Next(Tuple* tuple) {
-  TANGO_ASSIGN_OR_RETURN(bool more, Advance());
-  if (!more) return false;
-  *tuple = std::move(row_);
-  // The next row is re-shaped from scratch, so nothing the caller's tuple
-  // held can leak into an unmasked column.
-  row_.clear();
-  return true;
-}
-
 Result<size_t> StoredRowScan::NextBatch(RowBlock* block) {
   block->Clear();
   while (!block->full()) {
@@ -152,15 +142,6 @@ Status UnionAllOp::Init() {
   return Status::OK();
 }
 
-Result<bool> UnionAllOp::Next(Tuple* tuple) {
-  while (current_ < children_.size()) {
-    TANGO_ASSIGN_OR_RETURN(bool more, children_[current_]->Next(tuple));
-    if (more) return true;
-    ++current_;
-  }
-  return false;
-}
-
 Result<size_t> UnionAllOp::NextBatch(RowBlock* block) {
   while (current_ < children_.size()) {
     TANGO_ASSIGN_OR_RETURN(size_t n, children_[current_]->NextBatch(block));
@@ -210,7 +191,7 @@ Status HashJoinOp::Init() {
   return Status::OK();
 }
 
-Result<bool> HashJoinOp::Next(Tuple* tuple) {
+Result<bool> HashJoinOp::NextRow(Tuple* tuple) {
   while (true) {
     if (match_bucket_ != nullptr && match_pos_ < match_bucket_->size()) {
       Tuple joined = (*match_bucket_)[match_pos_++];
@@ -257,7 +238,7 @@ Status NestedLoopJoinOp::Init() {
   return Status::OK();
 }
 
-Result<bool> NestedLoopJoinOp::Next(Tuple* tuple) {
+Result<bool> NestedLoopJoinOp::NextRow(Tuple* tuple) {
   while (outer_valid_) {
     while (inner_pos_ < inner_.size()) {
       Tuple joined = outer_row_;
@@ -304,7 +285,7 @@ Status IndexNestedLoopJoinOp::Init() {
   return Status::OK();
 }
 
-Result<bool> IndexNestedLoopJoinOp::Next(Tuple* tuple) {
+Result<bool> IndexNestedLoopJoinOp::NextRow(Tuple* tuple) {
   while (true) {
     if (match_pos_ < matches_.size()) {
       TANGO_ASSIGN_OR_RETURN(Tuple inner_row,
@@ -423,7 +404,7 @@ Tuple GroupAggOp::EmitGroup() {
   return out;
 }
 
-Result<bool> GroupAggOp::Next(Tuple* tuple) {
+Result<bool> GroupAggOp::NextRow(Tuple* tuple) {
   if (input_done_) {
     // Global aggregation over an empty input still yields one row.
     if (group_cols_.empty() && !emitted_global_ && !group_open_) {

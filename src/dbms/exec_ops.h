@@ -56,7 +56,6 @@ class StoredRowScan : public Cursor {
  public:
   ~StoredRowScan() override { FlushCounters(); }
 
-  Result<bool> Next(Tuple* tuple) override;
   /// Fills the block straight from the access path: one virtual cursor
   /// call per block instead of one per stored row.
   Result<size_t> NextBatch(RowBlock* block) override;
@@ -134,7 +133,6 @@ class UnionAllOp : public Cursor {
       : children_(std::move(children)) {}
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
   /// Hands each arm's blocks through unchanged, arm after arm.
   Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return children_.front()->schema(); }
@@ -145,8 +143,9 @@ class UnionAllOp : public Cursor {
 };
 
 // The joins and the group-aggregate below keep their row-at-a-time logic
-// and read their children through a BatchedReader, like the middleware's
-// merge join: one virtual call per child block, not per child row.
+// in a private row step that FillBlock turns into NextBatch, and read their
+// children through a BatchedReader, like the middleware's merge join: one
+// virtual call per block, not per row.
 
 /// \brief Hash join (build = left, probe = right) on equi-keys with an
 /// optional residual predicate. Output order: left columns then right.
@@ -156,10 +155,14 @@ class HashJoinOp : public Cursor {
              std::vector<size_t> right_keys, ExprPtr residual);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
+  Result<size_t> NextBatch(RowBlock* block) override {
+    return FillBlock(block, [this](Tuple* t) { return NextRow(t); });
+  }
   const Schema& schema() const override { return schema_; }
 
  private:
+  Result<bool> NextRow(Tuple* tuple);
+
   CursorPtr left_, right_;
   BatchedReader left_reader_, right_reader_;
   std::vector<size_t> left_keys_, right_keys_;
@@ -201,10 +204,14 @@ class NestedLoopJoinOp : public Cursor {
   NestedLoopJoinOp(CursorPtr left, CursorPtr right, ExprPtr predicate);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
+  Result<size_t> NextBatch(RowBlock* block) override {
+    return FillBlock(block, [this](Tuple* t) { return NextRow(t); });
+  }
   const Schema& schema() const override { return schema_; }
 
  private:
+  Result<bool> NextRow(Tuple* tuple);
+
   CursorPtr left_, right_;
   BatchedReader left_reader_;
   ExprPtr predicate_;
@@ -227,10 +234,14 @@ class IndexNestedLoopJoinOp : public Cursor {
                         size_t inner_column, ExprPtr residual);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
+  Result<size_t> NextBatch(RowBlock* block) override {
+    return FillBlock(block, [this](Tuple* t) { return NextRow(t); });
+  }
   const Schema& schema() const override { return schema_; }
 
  private:
+  Result<bool> NextRow(Tuple* tuple);
+
   CursorPtr outer_;
   BatchedReader outer_reader_;
   const Table* inner_;
@@ -254,10 +265,14 @@ class GroupAggOp : public Cursor {
              std::vector<AggSpec> aggs);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
+  Result<size_t> NextBatch(RowBlock* block) override {
+    return FillBlock(block, [this](Tuple* t) { return NextRow(t); });
+  }
   const Schema& schema() const override { return schema_; }
 
  private:
+  Result<bool> NextRow(Tuple* tuple);
+
   // Running state for one aggregate within the current group.
   struct AggState {
     double sum = 0;

@@ -21,7 +21,6 @@ class AliasOp : public Cursor {
       : child_(std::move(child)), schema_(child_->schema().WithQualifier(alias)) {}
 
   Status Init() override { return child_->Init(); }
-  Result<bool> Next(Tuple* tuple) override { return child_->Next(tuple); }
   Result<size_t> NextBatch(RowBlock* block) override {
     return child_->NextBatch(block);
   }

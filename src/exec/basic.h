@@ -21,10 +21,8 @@ class FilterCursor : public Cursor {
       : child_(std::move(child)), predicate_(std::move(predicate)) {}
 
   Status Init() override { return child_->Init(); }
-  Result<bool> Next(Tuple* tuple) override;
-  /// Native batch path: pulls whole blocks from the child and appends the
-  /// qualifying rows, so a selective filter costs one virtual call per input
-  /// block instead of one per inspected row.
+  /// Pulls whole blocks from the child and appends the qualifying rows, so
+  /// a selective filter costs one virtual call per input block.
   Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return child_->schema(); }
 
@@ -44,8 +42,7 @@ class ProjectCursor : public Cursor {
         schema_(std::move(out_schema)) {}
 
   Status Init() override { return child_->Init(); }
-  Result<bool> Next(Tuple* tuple) override;
-  /// Native batch path: one child block in, one projected block out.
+  /// One child block in, one projected block out.
   Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return schema_; }
 
@@ -68,10 +65,14 @@ class DupElimCursor : public Cursor {
     have_prev_ = false;
     return reader_.Init();
   }
-  Result<bool> Next(Tuple* tuple) override;
+  Result<size_t> NextBatch(RowBlock* block) override {
+    return FillBlock(block, [this](Tuple* t) { return NextRow(t); });
+  }
   const Schema& schema() const override { return child_->schema(); }
 
  private:
+  Result<bool> NextRow(Tuple* tuple);
+
   CursorPtr child_;
   BatchedReader reader_;
   Tuple prev_;
@@ -90,10 +91,14 @@ class DifferenceCursor : public Cursor {
         right_reader_(right_.get()) {}
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
+  Result<size_t> NextBatch(RowBlock* block) override {
+    return FillBlock(block, [this](Tuple* t) { return NextRow(t); });
+  }
   const Schema& schema() const override { return left_->schema(); }
 
  private:
+  Result<bool> NextRow(Tuple* tuple);
+
   CursorPtr left_, right_;
   BatchedReader left_reader_, right_reader_;
   Tuple right_row_;
@@ -109,10 +114,14 @@ class CoalesceCursor : public Cursor {
       : child_(std::move(child)), reader_(child_.get()), t1_(t1), t2_(t2) {}
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
+  Result<size_t> NextBatch(RowBlock* block) override {
+    return FillBlock(block, [this](Tuple* t) { return NextRow(t); });
+  }
   const Schema& schema() const override { return child_->schema(); }
 
  private:
+  Result<bool> NextRow(Tuple* tuple);
+
   CursorPtr child_;
   BatchedReader reader_;
   size_t t1_, t2_;

@@ -28,8 +28,8 @@ struct AlgorithmTiming {
   /// full serial work.
   double worker_seconds = 0;
   uint64_t rows = 0;
-  /// Non-empty RowBlocks this algorithm produced via NextBatch (0 for a
-  /// purely tuple-at-a-time drain); rows/batches is the realized batch size.
+  /// Non-empty RowBlocks this algorithm produced; rows/batches is the
+  /// realized batch size.
   uint64_t batches = 0;
   std::vector<size_t> child_ids;  // ids of wrapped children
 };
@@ -50,10 +50,10 @@ class WorkerTimedCursor {
 };
 
 /// \brief Decorator measuring the wall time spent inside a cursor (Init and
-/// all Next calls) and the rows produced.
+/// all NextBatch calls) and the rows produced.
 ///
 /// Recording is guarded by a per-cursor mutex: with the parallel transfer
-/// drain, an inner cursor's Init/Next run on the prefetch thread while its
+/// drain, an inner cursor's Init/NextBatch run on the prefetch thread while its
 /// worker recorder may fire concurrently from pool tasks. Each sink entry is
 /// written only through its owning InstrumentedCursor, so the per-cursor
 /// lock fully serializes access to the entry.
@@ -114,16 +114,6 @@ class InstrumentedCursor : public Cursor {
     return s;
   }
 
-  Result<bool> Next(Tuple* tuple) override {
-    const auto start = Clock::now();
-    Result<bool> r = inner_->Next(tuple);
-    Record(start, r.ok() && r.ValueOrDie() ? 1 : 0, /*batches=*/0);
-    return r;
-  }
-
-  /// Forwards the batch path to the wrapped cursor — without this override
-  /// every instrumented plan would fall back to the tuple-at-a-time default
-  /// and vectorization would die at each wrapper.
   Result<size_t> NextBatch(RowBlock* block) override {
     const auto start = Clock::now();
     Result<size_t> r = inner_->NextBatch(block);

@@ -70,7 +70,7 @@ Result<bool> MergeJoinCursor::FillRightGroup() {
   return true;
 }
 
-Result<bool> MergeJoinCursor::Next(Tuple* tuple) {
+Result<bool> MergeJoinCursor::NextRow(Tuple* tuple) {
   while (true) {
     if (group_matches_left_ && group_pos_ < right_group_.size()) {
       const Tuple& r = right_group_[group_pos_++];
@@ -82,8 +82,8 @@ Result<bool> MergeJoinCursor::Next(Tuple* tuple) {
       group_pos_ = 0;
       if (!left_valid_) {
         // Drop the match flag so a post-exhaustion call cannot replay the
-        // group against the stale left row — batch drains call Next again
-        // after the first false and must keep seeing false.
+        // group against the stale left row — a drain calls NextBatch again
+        // after the first zero and must keep seeing zero.
         group_matches_left_ = false;
         return false;
       }

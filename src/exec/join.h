@@ -21,7 +21,9 @@ class MergeJoinCursor : public Cursor {
                   std::vector<size_t> right_keys);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
+  Result<size_t> NextBatch(RowBlock* block) override {
+    return FillBlock(block, [this](Tuple* t) { return NextRow(t); });
+  }
   const Schema& schema() const override { return schema_; }
 
  protected:
@@ -30,12 +32,13 @@ class MergeJoinCursor : public Cursor {
   virtual bool EmitPair(const Tuple& left, const Tuple& right, Tuple* out);
 
  private:
+  Result<bool> NextRow(Tuple* tuple);
   int CompareKeys(const Tuple& l, const Tuple& r) const;
   Result<bool> FillRightGroup();
 
   CursorPtr left_, right_;
-  /// Batch-probe: both inputs are drained in whole blocks; the merge logic
-  /// below reads rows out of the buffered blocks and stays bit-identical.
+  /// Both inputs are drained in whole blocks; the merge logic reads rows out
+  /// of the buffered blocks.
   BatchedReader left_reader_, right_reader_;
   std::vector<size_t> left_keys_, right_keys_;
   Schema schema_;

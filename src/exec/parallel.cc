@@ -139,54 +139,26 @@ Status ParallelSortCursor::Init() {
   for (auto& r : inline_runs) absorb(std::move(r));
   TANGO_RETURN_IF_ERROR(first_error);
 
-  if (runs_.size() <= 1) return Status::OK();  // single-run fast path
-
-  // K-way merge setup; spilled runs rewind to read mode.
+  // A single in-memory run is served directly; anything else merges.
+  if (runs_.empty() || (runs_.size() == 1 && !runs_[0].file.has_value())) {
+    return Status::OK();
+  }
   merging_ = true;
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    if (runs_[i].file.has_value()) {
-      TANGO_RETURN_IF_ERROR(runs_[i].file->Rewind());
-    }
-    Tuple head;
-    TANGO_ASSIGN_OR_RETURN(bool more, runs_[i].Next(&head));
-    if (more) heap_.push_back({std::move(head), i});
+  for (Run& run : runs_) {
+    if (run.file.has_value()) TANGO_RETURN_IF_ERROR(run.file->Rewind());
   }
-  std::make_heap(heap_.begin(), heap_.end(), HeapCmp{&cmp_});
-  return Status::OK();
-}
-
-Result<bool> ParallelSortCursor::Next(Tuple* tuple) {
-  if (!merging_) {
-    if (runs_.empty()) return false;
-    return runs_[0].Next(tuple);
-  }
-  if (heap_.empty()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), HeapCmp{&cmp_});
-  HeapEntry top = std::move(heap_.back());
-  heap_.pop_back();
-  *tuple = std::move(top.tuple);
-  Tuple next;
-  TANGO_ASSIGN_OR_RETURN(bool more, runs_[top.run].Next(&next));
-  if (more) {
-    heap_.push_back({std::move(next), top.run});
-    std::push_heap(heap_.begin(), heap_.end(), HeapCmp{&cmp_});
-  }
-  return true;
+  return StartMerge(&runs_, cmp_, &heap_);
 }
 
 Result<size_t> ParallelSortCursor::NextBatch(RowBlock* block) {
-  if (!merging_) {
-    block->Clear();
-    if (runs_.empty()) return 0;
-    std::vector<Tuple>& mem = runs_[0].mem;
-    if (!runs_[0].file.has_value()) {
-      while (runs_[0].pos < mem.size() && !block->full()) {
-        block->AppendRow(std::move(mem[runs_[0].pos++]));
-      }
-      return block->rows();
-    }
+  if (merging_) return MergeIntoBlock(&runs_, cmp_, &heap_, block);
+  block->Clear();
+  if (runs_.empty()) return 0;
+  Run& run = runs_[0];
+  while (run.pos < run.mem.size() && !block->full()) {
+    block->AppendRow(std::move(run.mem[run.pos++]));
   }
-  return Cursor::NextBatch(block);
+  return block->rows();
 }
 
 // ---------------------------------------------------------------------------
@@ -403,13 +375,6 @@ Status ParallelTemporalJoinCursor::Init() {
   return Status::OK();
 }
 
-Result<bool> ParallelTemporalJoinCursor::Next(Tuple* tuple) {
-  if (pos_ >= out_rows_.size()) return false;
-  // out_rows_ is rebuilt on every Init, so moving out is safe.
-  *tuple = std::move(out_rows_[pos_++]);
-  return true;
-}
-
 Result<size_t> ParallelTemporalJoinCursor::NextBatch(RowBlock* block) {
   block->Clear();
   while (pos_ < out_rows_.size() && !block->full()) {
@@ -450,8 +415,6 @@ Status PrefetchCursor::Init() {
     finished_ = false;
     cancel_ = false;
   }
-  batch_.Clear();
-  batch_pos_ = 0;
   saw_error_ = false;
   producer_ = std::thread([this]() { ProducerLoop(); });
   return Status::OK();
@@ -521,45 +484,23 @@ void PrefetchCursor::ProducerLoop() {
   not_empty_.notify_all();
 }
 
-Result<bool> PrefetchCursor::Next(Tuple* tuple) {
-  if (saw_error_) return producer_status_;
-  while (true) {
-    if (batch_pos_ < batch_.rows()) {
-      batch_.MoveRowTo(batch_pos_++, tuple);
-      return true;
-    }
-    TANGO_ASSIGN_OR_RETURN(bool popped, PopBlock());
-    if (!popped) return false;
-  }
-}
-
 Result<size_t> PrefetchCursor::NextBatch(RowBlock* block) {
   if (saw_error_) return producer_status_;
-  block->Clear();
-  // Serve any rows left over from a Next-drained block first, then hand the
-  // next producer block across wholesale (capacity stays the consumer's).
-  if (batch_pos_ >= batch_.rows()) {
-    TANGO_ASSIGN_OR_RETURN(bool popped, PopBlock());
-    if (!popped) return 0;
+  // Hand the next producer block across wholesale; the capacity stays the
+  // consumer's.
+  const size_t cap = block->capacity();
+  TANGO_ASSIGN_OR_RETURN(bool popped, PopBlock(block));
+  if (!popped) {
+    block->Clear();
+    return 0;
   }
-  if (batch_pos_ == 0) {
-    const size_t cap = block->capacity();
-    *block = std::move(batch_);
-    block->set_capacity(cap);
-    batch_ = RowBlock();
-    return block->rows();
-  }
-  while (batch_pos_ < batch_.rows() && !block->full()) {
-    Tuple t;
-    batch_.MoveRowTo(batch_pos_++, &t);
-    block->AppendRow(std::move(t));
-  }
+  block->set_capacity(cap);
   return block->rows();
 }
 
-/// Pops the next producer block into batch_; false when the stream is done.
+/// Pops the next producer block into `block`; false when the stream is done.
 /// Returns the producer's error once the queue is drained.
-Result<bool> PrefetchCursor::PopBlock() {
+Result<bool> PrefetchCursor::PopBlock(RowBlock* block) {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     while (!finished_ && queue_.empty()) {
@@ -571,9 +512,8 @@ Result<bool> PrefetchCursor::PopBlock() {
       not_empty_.wait_for(lock, std::chrono::milliseconds(5));
     }
     if (!queue_.empty()) {
-      batch_ = std::move(queue_.front());
+      *block = std::move(queue_.front());
       queue_.pop_front();
-      batch_pos_ = 0;
       not_full_.notify_one();
       return true;
     }

@@ -41,11 +41,10 @@ class ParallelSortCursor : public Cursor, public WorkerTimedCursor {
                          SortCursor::kDefaultMemoryBudgetBytes,
                      size_t dop = 0);
 
+  /// Drains the child in whole blocks and sorts the chunks.
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
-  /// Batched emit: the single-run fast path bulk-moves out of the in-memory
-  /// run; the k-way merge batches its output. Chunk generation in Init
-  /// drains the child via NextBatch.
+  /// The single in-memory run is bulk-moved out; otherwise the k-way merge
+  /// pops straight into the block.
   Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return child_->schema(); }
 
@@ -78,20 +77,8 @@ class ParallelSortCursor : public Cursor, public WorkerTimedCursor {
   std::vector<Run> runs_;
   size_t spilled_ = 0;
 
-  // K-way merge state (same shape as SortCursor's).
-  struct HeapEntry {
-    Tuple tuple;
-    size_t run;
-  };
-  struct HeapCmp {
-    const TupleComparator* cmp;
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      const int c = cmp->Compare(a.tuple, b.tuple);
-      if (c != 0) return c > 0;
-      return a.run > b.run;  // stable across chunks (input order)
-    }
-  };
-  std::vector<HeapEntry> heap_;
+  // K-way merge state (shared with SortCursor; see exec/sort.h).
+  std::vector<MergeHead> heap_;
   bool merging_ = false;
 };
 
@@ -120,7 +107,6 @@ class ParallelTemporalJoinCursor : public Cursor, public WorkerTimedCursor {
                              common::ThreadPoolPtr pool, size_t dop = 0);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
   /// Bulk-moves out of the materialized result (rebuilt on every Init).
   Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return schema_; }
@@ -171,7 +157,6 @@ class PrefetchCursor : public Cursor, public WorkerTimedCursor {
   /// Starts (or restarts) the producer thread; the inner cursor's Init runs
   /// on that thread, so the wire drain begins immediately.
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
   /// Hands a whole producer-filled block across the SPSC queue per call —
   /// the handoff cost is paid once per block instead of once per tuple.
   Result<size_t> NextBatch(RowBlock* block) override;
@@ -191,9 +176,10 @@ class PrefetchCursor : public Cursor, public WorkerTimedCursor {
  private:
   void ProducerLoop();
   void StopProducer();
-  /// Blocks until the next producer block is available in batch_; false when
-  /// the stream is exhausted (or surfaces the producer's error).
-  Result<bool> PopBlock();
+  /// Blocks until the next producer block is available and moves it into
+  /// `block`; false when the stream is exhausted (or surfaces the producer's
+  /// error).
+  Result<bool> PopBlock(RowBlock* block);
 
   CursorPtr inner_;
   Schema schema_;  // copied so schema() never races with the producer
@@ -212,8 +198,6 @@ class PrefetchCursor : public Cursor, public WorkerTimedCursor {
   bool finished_ = false;  // producer pushed everything (or failed)
   bool cancel_ = false;    // consumer tears down early
 
-  RowBlock batch_;  // consumer-local, being drained
-  size_t batch_pos_ = 0;
   bool saw_error_ = false;
 };
 

@@ -120,12 +120,6 @@ class BufferScanCursor : public Cursor {
     return Status::OK();
   }
 
-  Result<bool> Next(Tuple* row) override {
-    if (pos_ >= rows_->size()) return false;
-    *row = (*rows_)[pos_++];
-    return true;
-  }
-
   Result<size_t> NextBatch(RowBlock* block) override {
     block->Clear();
     while (pos_ < rows_->size() && !block->full()) {

@@ -21,7 +21,7 @@ Status SortCursor::Init() {
   TANGO_RETURN_IF_ERROR(child_->Init());
   rows_.clear();
   runs_.clear();
-  heap_.reset();
+  heap_.clear();
   pos_ = 0;
 
   // Run generation pulls the child in whole blocks; the per-row budget
@@ -53,47 +53,19 @@ Status SortCursor::Init() {
   if (!rows_.empty()) {
     TANGO_RETURN_IF_ERROR(SpillRun(&rows_));
   }
-  heap_ = std::make_unique<
-      std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapCmp>>(
-      HeapCmp{&cmp_});
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    TANGO_RETURN_IF_ERROR(runs_[i].Rewind());
-    Tuple head;
-    TANGO_ASSIGN_OR_RETURN(bool more, runs_[i].Next(&head));
-    if (more) heap_->push({std::move(head), i});
-  }
-  return Status::OK();
-}
-
-Result<bool> SortCursor::Next(Tuple* tuple) {
-  if (heap_ == nullptr) {
-    if (pos_ >= rows_.size()) return false;
-    *tuple = rows_[pos_++];
-    return true;
-  }
-  if (heap_->empty()) return false;
-  HeapEntry top = heap_->top();
-  heap_->pop();
-  *tuple = std::move(top.tuple);
-  Tuple next;
-  TANGO_ASSIGN_OR_RETURN(bool more, runs_[top.run].Next(&next));
-  if (more) heap_->push({std::move(next), top.run});
-  return true;
+  for (storage::RunFile& run : runs_) TANGO_RETURN_IF_ERROR(run.Rewind());
+  return StartMerge(&runs_, cmp_, &heap_);
 }
 
 Result<size_t> SortCursor::NextBatch(RowBlock* block) {
-  if (heap_ == nullptr) {
-    // In-memory path: bulk-copy straight out of the sorted vector (copies,
-    // not moves — a prepared plan may re-Init and replay).
-    block->Clear();
-    while (pos_ < rows_.size() && !block->full()) {
-      block->AppendRow(rows_[pos_++]);
-    }
-    return block->rows();
+  if (!runs_.empty()) return MergeIntoBlock(&runs_, cmp_, &heap_, block);
+  // In-memory path: copies, not moves — a prepared plan may re-Init and
+  // replay.
+  block->Clear();
+  while (pos_ < rows_.size() && !block->full()) {
+    block->AppendRow(rows_[pos_++]);
   }
-  // Merge path: the k-way heap is inherently row-at-a-time; batch the emit
-  // so downstream operators still get one virtual call per block.
-  return Cursor::NextBatch(block);
+  return block->rows();
 }
 
 }  // namespace exec

@@ -1,7 +1,5 @@
 #include "exec/transfer.h"
 
-#include <algorithm>
-
 namespace tango {
 namespace exec {
 
@@ -57,15 +55,27 @@ Status TransferMCursor::TryOpen(size_t skip) {
                             std::to_string(schema_.num_columns()));
   }
   // Reposition past rows already delivered downstream: the engine is
-  // deterministic, so the re-issued SELECT reproduces the same sequence.
-  Tuple t;
-  for (size_t i = 0; i < skip; ++i) {
-    TANGO_ASSIGN_OR_RETURN(bool more, remote_->Next(&t));
-    if (!more) {
+  // deterministic, so the re-issued SELECT reproduces the same sequence in
+  // the same wire blocks, and `skip` — a count of whole blocks' rows — lands
+  // on a block boundary.
+  RowBlock block(kControlPollStride);
+  size_t skipped = 0;
+  while (skipped < skip) {
+    TANGO_ASSIGN_OR_RETURN(const size_t n, remote_->NextBatch(&block));
+    if (n == 0) {
       return Status::Internal(
           "TRANSFER^M retry could not reposition: re-issued \"" + sql_ +
           "\" returned fewer rows than already delivered");
     }
+    skipped += n;
+  }
+  if (skipped != skip) {
+    // The rows past `skip` in this block were never delivered; serving them
+    // would need a partial block, so fail rather than drop them.
+    return Status::Internal(
+        "TRANSFER^M retry could not reposition: re-issued \"" + sql_ +
+        "\" split its blocks differently (skip " + std::to_string(skip) +
+        " landed inside a block ending at " + std::to_string(skipped) + ")");
   }
   if (counters_ != nullptr && skip > 0) counters_->rows_skipped.Increment(skip);
   return Status::OK();
@@ -120,25 +130,14 @@ Status TransferMCursor::Init() {
     // mid-materialization (even past its retry budget) leaves no partial
     // result behind for the other occurrences.
     std::vector<Tuple> rows;
-    Tuple t;
+    RowBlock block(kControlPollStride);
     while (true) {
-      Result<bool> more = remote_->Next(&t);
-      if (!more.ok()) {
-        if (!retry_->ShouldRetry(more.status())) {
-          return TagTransient(more.status(), "TRANSFER^M", sql_);
-        }
-        if (counters_ != nullptr) ++counters_->tm_retries;
-        {
-          obs::ScopedSpan backoff(obs_.trace, "retry.backoff", "retry",
-                                  obs_.span);
-          TANGO_RETURN_IF_ERROR(retry_->Backoff(control_));
-        }
-        TANGO_RETURN_IF_ERROR(Restore(rows.size()));
-        continue;
+      TANGO_ASSIGN_OR_RETURN(const size_t n, FetchBlock(&block, rows.size()));
+      if (n == 0) break;
+      if (obs_.rows_to_middleware != nullptr) {
+        obs_.rows_to_middleware->Increment(n);
       }
-      if (!more.ValueOrDie()) break;
-      if (obs_.rows_to_middleware != nullptr) ++*obs_.rows_to_middleware;
-      rows.push_back(std::move(t));
+      AppendRows(&block, &rows);
     }
     remote_.reset();
     cache_->Put(sql_, std::move(rows));
@@ -172,23 +171,10 @@ Status TransferMCursor::CachedReplanCheck() {
                       cached_rows_->size());
 }
 
-Result<size_t> TransferMCursor::FetchBlockRetained() {
-  RowBlock block(kControlPollStride);
+Result<size_t> TransferMCursor::FetchBlock(RowBlock* block, size_t position) {
   while (true) {
-    Result<size_t> r = remote_->NextBatch(&block);
-    if (r.ok()) {
-      const size_t n = r.ValueOrDie();
-      if (retained_.capacity() < retained_.size() + n) {
-        retained_.reserve(
-            std::max(retained_.size() + n, retained_.capacity() * 2));
-      }
-      Tuple t;
-      for (size_t i = 0; i < n; ++i) {
-        block.MoveRowTo(i, &t);
-        retained_.push_back(std::move(t));
-      }
-      return n;
-    }
+    Result<size_t> r = remote_->NextBatch(block);
+    if (r.ok()) return r;
     if (!retry_->ShouldRetry(r.status())) {
       return TagTransient(r.status(), "TRANSFER^M", sql_);
     }
@@ -197,11 +183,20 @@ Result<size_t> TransferMCursor::FetchBlockRetained() {
       obs::ScopedSpan backoff(obs_.trace, "retry.backoff", "retry", obs_.span);
       TANGO_RETURN_IF_ERROR(retry_->Backoff(control_));
     }
-    // The retained buffer IS the fetch position: the failed fetch appended
-    // nothing, so its size is exact and block-aligned, same as `delivered_`
-    // in streaming mode.
-    TANGO_RETURN_IF_ERROR(Restore(retained_.size()));
+    // The failed fetch delivered nothing (errors surface before any row
+    // leaves the wire buffer), so `position` is exact — and, because fetches
+    // fail only between blocks, block-aligned.
+    TANGO_RETURN_IF_ERROR(Restore(position));
   }
+}
+
+Result<size_t> TransferMCursor::FetchBlockRetained() {
+  RowBlock block(kControlPollStride);
+  // The retained buffer IS the fetch position, same as `delivered_` in
+  // streaming mode.
+  TANGO_ASSIGN_OR_RETURN(const size_t n, FetchBlock(&block, retained_.size()));
+  AppendRows(&block, &retained_);
+  return n;
 }
 
 Status TransferMCursor::MaybeReplan(bool final) {
@@ -253,40 +248,6 @@ Status TransferMCursor::EnsureRetained() {
   return Status::OK();
 }
 
-Result<bool> TransferMCursor::Next(Tuple* tuple) {
-  if (cached_rows_ != nullptr) {
-    if (cached_pos_ >= cached_rows_->size()) return false;
-    *tuple = (*cached_rows_)[cached_pos_++];
-    return true;
-  }
-  if (Monitored()) {
-    TANGO_RETURN_IF_ERROR(EnsureRetained());
-    if (delivered_ >= retained_.size()) return false;
-    *tuple = retained_[delivered_++];
-    if (obs_.rows_to_middleware != nullptr) ++*obs_.rows_to_middleware;
-    return true;
-  }
-  while (true) {
-    Result<bool> r = remote_->Next(tuple);
-    if (r.ok()) {
-      if (r.ValueOrDie()) {
-        ++delivered_;
-        if (obs_.rows_to_middleware != nullptr) ++*obs_.rows_to_middleware;
-      }
-      return r;
-    }
-    if (!retry_->ShouldRetry(r.status())) {
-      return TagTransient(r.status(), "TRANSFER^M", sql_);
-    }
-    if (counters_ != nullptr) ++counters_->tm_retries;
-    {
-      obs::ScopedSpan backoff(obs_.trace, "retry.backoff", "retry", obs_.span);
-      TANGO_RETURN_IF_ERROR(retry_->Backoff(control_));
-    }
-    TANGO_RETURN_IF_ERROR(Restore(delivered_));
-  }
-}
-
 Result<size_t> TransferMCursor::NextBatch(RowBlock* block) {
   if (cached_rows_ != nullptr) {
     block->Clear();
@@ -306,29 +267,12 @@ Result<size_t> TransferMCursor::NextBatch(RowBlock* block) {
     }
     return block->rows();
   }
-  while (true) {
-    Result<size_t> r = remote_->NextBatch(block);
-    if (r.ok()) {
-      const size_t n = r.ValueOrDie();
-      delivered_ += n;
-      if (obs_.rows_to_middleware != nullptr && n > 0) {
-        obs_.rows_to_middleware->Increment(n);
-      }
-      return n;
-    }
-    if (!retry_->ShouldRetry(r.status())) {
-      return TagTransient(r.status(), "TRANSFER^M", sql_);
-    }
-    if (counters_ != nullptr) ++counters_->tm_retries;
-    {
-      obs::ScopedSpan backoff(obs_.trace, "retry.backoff", "retry", obs_.span);
-      TANGO_RETURN_IF_ERROR(retry_->Backoff(control_));
-    }
-    // The failed fetch delivered nothing (errors surface before any row
-    // leaves the wire buffer), so `delivered_` is exact — and, because
-    // fetches fail only between blocks, block-aligned.
-    TANGO_RETURN_IF_ERROR(Restore(delivered_));
+  TANGO_ASSIGN_OR_RETURN(const size_t n, FetchBlock(block, delivered_));
+  delivered_ += n;
+  if (obs_.rows_to_middleware != nullptr && n > 0) {
+    obs_.rows_to_middleware->Increment(n);
   }
+  return n;
 }
 
 TransferDCursor::TransferDCursor(dbms::Connection* conn,
@@ -377,17 +321,10 @@ Status TransferDCursor::Init() {
   TANGO_RETURN_IF_ERROR(child_->Init());
   std::vector<Tuple> rows;
   RowBlock block(kControlPollStride);
-  Tuple t;
   while (true) {
     TANGO_ASSIGN_OR_RETURN(const size_t n, child_->NextBatch(&block));
     if (n == 0) break;
-    if (rows.capacity() < rows.size() + n) {
-      rows.reserve(std::max(rows.size() + n, rows.capacity() * 2));
-    }
-    for (size_t i = 0; i < n; ++i) {
-      block.MoveRowTo(i, &t);
-      rows.push_back(std::move(t));
-    }
+    AppendRows(&block, &rows);
     TANGO_RETURN_IF_ERROR(CheckControl(control_));
   }
   rows_loaded_ = rows.size();
@@ -423,9 +360,9 @@ Status TransferDCursor::Init() {
   return Status::OK();
 }
 
-Result<bool> TransferDCursor::Next(Tuple* tuple) {
-  (void)tuple;
-  return false;
+Result<size_t> TransferDCursor::NextBatch(RowBlock* block) {
+  block->Clear();
+  return 0;
 }
 
 }  // namespace exec

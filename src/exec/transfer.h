@@ -96,12 +96,10 @@ class TransferMCursor : public Cursor {
                   RecoveryCounters* counters = nullptr);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
-  /// Batched delivery: hands whole decoded wire blocks downstream (or
-  /// copies a block's worth out of the shared cache). Remote fetch errors
-  /// only surface at block boundaries, so `delivered_` — the restart-skip
-  /// offset — stays block-aligned and a re-issued SELECT repositions on the
-  /// same block grid.
+  /// Hands whole decoded wire blocks downstream (or copies a block's worth
+  /// out of the shared cache). Remote fetch errors only surface at block
+  /// boundaries, so `delivered_` — the restart-skip offset — stays
+  /// block-aligned and a re-issued SELECT repositions on the same block grid.
   Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return schema_; }
 
@@ -125,13 +123,18 @@ class TransferMCursor : public Cursor {
 
  private:
   /// One attempt: (re)issue the SELECT and skip `skip` already-delivered
-  /// rows. Non-OK means the attempt failed (possibly transiently).
+  /// rows, a whole number of wire blocks; a block straddling `skip` fails
+  /// the attempt. Non-OK means the attempt failed (possibly transiently).
   Status TryOpen(size_t skip);
   /// Retry loop around TryOpen; consumes attempts from retry_ until open
   /// succeeds, the budget is exhausted, or the failure is not retryable.
   Status Restore(size_t skip);
 
   bool Monitored() const { return monitor_ != nullptr && monitor_->enabled(); }
+  /// Fetches the next remote block into `block`. A transient failure backs
+  /// off, re-issues the SELECT skipping `position` rows (everything fetched
+  /// so far), and fetches again, until the retry budget runs out.
+  Result<size_t> FetchBlock(RowBlock* block, size_t position);
   /// Retried fetch of one block from the remote cursor into `retained_`.
   /// Returns the number of rows appended (0 = remote exhausted).
   Result<size_t> FetchBlockRetained();
@@ -197,7 +200,8 @@ class TransferDCursor : public Cursor {
                   RecoveryCounters* counters = nullptr);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
+  /// Produces no rows: always zero.
+  Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return child_->schema(); }
 
   const std::string& table_name() const { return table_name_; }

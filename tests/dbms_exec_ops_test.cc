@@ -76,11 +76,12 @@ TEST(TableScanOpTest, MaskedScanLeavesUnreadColumnsNullAndCountsOnce) {
   TableScanOp scan(std::move(spec));
   ASSERT_TRUE(scan.Init().ok());
 
-  // Row path into a caller tuple full of stale values.
-  Tuple t{Value("stale"), Value("stale")};
-  ASSERT_TRUE(scan.Next(&t).ValueOrDie());
-  EXPECT_TRUE(t[0].is_null());
-  EXPECT_EQ(t[1].AsInt(), 20);
+  // A one-row block into a caller block still holding stale values.
+  RowBlock one(1);
+  one.AppendRow(Tuple{Value("stale"), Value("stale")});
+  ASSERT_EQ(scan.NextBatch(&one).ValueOrDie(), 1u);
+  EXPECT_TRUE(one.At(0, 0).is_null());
+  EXPECT_EQ(one.At(0, 1).AsInt(), 20);
   EXPECT_EQ(examined.load(), 0u);  // accumulated locally until the end
 
   RowBlock block;

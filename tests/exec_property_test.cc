@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "common/rng.h"
@@ -223,23 +224,16 @@ TEST(CursorReinitTest, AlgorithmsAreReExecutable) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch/tuple differential harness: for every operator, draining via
-// NextBatch (at several block capacities, including degenerate ones) must
-// produce the exact row sequence the tuple-at-a-time drain produces. The
-// same cursor object is drained repeatedly, which also exercises re-Init.
+// Block-capacity differential harness: for every operator, draining via
+// NextBatch at capacities 2/7/1024 must produce the exact row sequence the
+// one-row-block drain (capacity 1, the reference) produces, and where an
+// operator has an obvious direct computation over its input vector, the
+// reference must also equal that oracle. The same cursor object is drained
+// repeatedly, which also exercises re-Init; every drain checks that
+// exhaustion sticks.
 
-std::vector<Tuple> DrainTuple(Cursor* c) {
-  EXPECT_TRUE(c->Init().ok());
-  std::vector<Tuple> rows;
-  Tuple t;
-  while (true) {
-    auto more = c->Next(&t);
-    EXPECT_TRUE(more.ok()) << more.status().ToString();
-    if (!more.ok() || !more.ValueOrDie()) break;
-    rows.push_back(t);
-  }
-  return rows;
-}
+/// Far above any input here: a drain past it replays rows forever.
+constexpr size_t kRunawayRows = 1 << 20;
 
 std::vector<Tuple> DrainBatch(Cursor* c, size_t capacity) {
   EXPECT_TRUE(c->Init().ok());
@@ -250,11 +244,20 @@ std::vector<Tuple> DrainBatch(Cursor* c, size_t capacity) {
     auto n = c->NextBatch(&block);
     EXPECT_TRUE(n.ok()) << n.status().ToString();
     if (!n.ok() || n.ValueOrDie() == 0) break;
+    if (rows.size() > kRunawayRows) {
+      ADD_FAILURE() << "drain never reports exhaustion @capacity=" << capacity;
+      break;
+    }
     for (size_t i = 0; i < n.ValueOrDie(); ++i) {
       block.MoveRowTo(i, &t);
       rows.push_back(std::move(t));
     }
   }
+  // Exhaustion sticks: a drained cursor keeps reporting zero (a merge join
+  // once replayed its last group here).
+  auto again = c->NextBatch(&block);
+  EXPECT_TRUE(again.ok() && again.ValueOrDie() == 0)
+      << "NextBatch after exhaustion @capacity=" << capacity;
   return rows;
 }
 
@@ -270,19 +273,21 @@ void ExpectSameRows(const std::vector<Tuple>& want,
   }
 }
 
-/// Drains `cursor` tuple-at-a-time, then batched at capacities 1/2/7/1024,
-/// asserting bit-identical output every time.
-void RunDifferential(Cursor* cursor, const std::string& what) {
-  const auto want = DrainTuple(cursor);
-  for (const size_t capacity : {size_t{1}, size_t{2}, size_t{7},
+/// Drains `cursor` in one-row blocks (the reference), then at capacities
+/// 2/7/1024, then in one-row blocks again, asserting bit-identical output
+/// every time. A non-null `oracle` must equal the reference as well.
+void RunDifferential(Cursor* cursor, const std::string& what,
+                     const std::vector<Tuple>* oracle = nullptr) {
+  const auto want = DrainBatch(cursor, 1);
+  if (oracle != nullptr) ExpectSameRows(*oracle, want, what + " vs oracle");
+  for (const size_t capacity : {size_t{2}, size_t{7},
                                 RowBlock::kDefaultCapacity}) {
     const auto got = DrainBatch(cursor, capacity);
     ExpectSameRows(want, got,
                    what + " @capacity=" + std::to_string(capacity));
   }
-  // Mixing row and batch calls between Inits must also replay identically.
-  const auto again = DrainTuple(cursor);
-  ExpectSameRows(want, again, what + " re-drained tuple-at-a-time");
+  const auto again = DrainBatch(cursor, 1);
+  ExpectSameRows(want, again, what + " re-drained @capacity=1");
 }
 
 CursorPtr KeyedVector(std::vector<Tuple> rows) {
@@ -294,15 +299,21 @@ TEST(BatchDifferentialTest, FilterCursor) {
                                 Expr::Int(30)),
                    KeyedSchema())
                   .ValueOrDie();
-  FilterCursor f(KeyedVector(RandomPeriods(91, 500, 8, 80)), pred);
-  RunDifferential(&f, "FILTER^M");
+  const auto rows = RandomPeriods(91, 500, 8, 80);
+  std::vector<Tuple> oracle;
+  std::copy_if(rows.begin(), rows.end(), std::back_inserter(oracle),
+               [&](const Tuple& t) { return EvalPredicate(*pred, t); });
+  ASSERT_FALSE(oracle.empty());
+  FilterCursor f(KeyedVector(rows), pred);
+  RunDifferential(&f, "FILTER^M", &oracle);
   // An all-rejecting filter must terminate the batch drain with zero.
   auto none = Bind(Expr::Binary(BinaryOp::kLt, Expr::ColumnRef("T1"),
                                 Expr::Int(-1)),
                    KeyedSchema())
                   .ValueOrDie();
+  const std::vector<Tuple> no_rows;
   FilterCursor empty(KeyedVector(RandomPeriods(91, 100, 8, 80)), none);
-  RunDifferential(&empty, "FILTER^M(empty)");
+  RunDifferential(&empty, "FILTER^M(empty)", &no_rows);
 }
 
 TEST(BatchDifferentialTest, ProjectCursor) {
@@ -312,17 +323,23 @@ TEST(BatchDifferentialTest, ProjectCursor) {
                                Expr::ColumnRef("T1")),
                   KeyedSchema())
                  .ValueOrDie();
-  ProjectCursor p(KeyedVector(RandomPeriods(92, 400, 6, 70)), {k, dur}, out);
-  RunDifferential(&p, "PROJECT^M");
+  const auto rows = RandomPeriods(92, 400, 6, 70);
+  std::vector<Tuple> oracle;
+  for (const Tuple& t : rows) oracle.push_back({Eval(*k, t), Eval(*dur, t)});
+  ProjectCursor p(KeyedVector(rows), {k, dur}, out);
+  RunDifferential(&p, "PROJECT^M", &oracle);
 }
 
 TEST(BatchDifferentialTest, SortCursorInMemoryAndSpilled) {
   const auto rows = RandomPeriods(93, 800, 10, 90);
-  SortCursor in_mem(KeyedVector(rows), {{0, true}, {1, true}});
-  RunDifferential(&in_mem, "SORT^M(in-memory)");
-  SortCursor spilled(KeyedVector(rows), {{0, true}, {1, true}},
-                     /*memory_budget_bytes=*/4096);
-  RunDifferential(&spilled, "SORT^M(spilled)");
+  const std::vector<SortKey> keys = {{0, true}, {1, true}};
+  auto oracle = rows;
+  std::stable_sort(oracle.begin(), oracle.end(), TupleComparator(keys));
+  SortCursor in_mem(KeyedVector(rows), keys);
+  RunDifferential(&in_mem, "SORT^M(in-memory)", &oracle);
+  SortCursor spilled(KeyedVector(rows), keys, /*memory_budget_bytes=*/4096);
+  RunDifferential(&spilled, "SORT^M(spilled)", &oracle);
+  EXPECT_GT(spilled.spilled_runs(), 1u);
 }
 
 TEST(BatchDifferentialTest, DupElimAndDifferenceAndCoalesce) {
@@ -375,9 +392,16 @@ TEST(BatchDifferentialTest, TemporalAggregation) {
 TEST(BatchDifferentialTest, ParallelSortAndJoinAndPrefetch) {
   auto pool = std::make_shared<common::ThreadPool>(3);
   const auto rows = RandomPeriods(98, 900, 12, 100);
-  ParallelSortCursor psort(KeyedVector(rows), {{0, true}, {1, true}}, pool,
+  const std::vector<SortKey> keys = {{0, true}, {1, true}};
+  auto sorted = rows;
+  std::stable_sort(sorted.begin(), sorted.end(), TupleComparator(keys));
+  ParallelSortCursor psort(KeyedVector(rows), keys, pool,
                            /*memory_budget_bytes=*/16384, /*dop=*/3);
-  RunDifferential(&psort, "parallel SORT^M");
+  RunDifferential(&psort, "parallel SORT^M", &sorted);
+  EXPECT_GT(psort.spilled_runs(), 0u);
+  ParallelSortCursor one_run(KeyedVector(rows), keys, pool);
+  RunDifferential(&one_run, "parallel SORT^M(one run)", &sorted);
+  EXPECT_EQ(one_run.total_runs(), 1u);
 
   auto left = SortedForCoalesce(RandomPeriods(99, 300, 6, 80));
   auto right = SortedForCoalesce(RandomPeriods(100, 250, 6, 80));
@@ -547,7 +571,7 @@ TEST(ReplanRetryPropertyTest, TransferDCheckpointsBeforeAnyStatement) {
 TEST(VectorCursorTest, ReusableReplaysAfterDrainOneShotDoesNot) {
   const auto rows = RandomPeriods(102, 50, 4, 40);
   VectorCursor reusable(KeyedSchema(), rows);  // Drain::kReusable default
-  const auto first = DrainTuple(&reusable);
+  const auto first = DrainBatch(&reusable, 1);
   const auto second = DrainBatch(&reusable, 7);
   ExpectSameRows(first, second, "reusable VectorCursor re-Init replay");
   ASSERT_EQ(first.size(), rows.size());
@@ -555,7 +579,7 @@ TEST(VectorCursorTest, ReusableReplaysAfterDrainOneShotDoesNot) {
   // kOneShot moves rows out: the first drain delivers everything, and the
   // contract is that the cursor is not re-Init'ed afterwards.
   VectorCursor one_shot(KeyedSchema(), rows, VectorCursor::Drain::kOneShot);
-  const auto moved = DrainTuple(&one_shot);
+  const auto moved = DrainBatch(&one_shot, 1);
   ExpectSameRows(first, moved, "one-shot VectorCursor first drain");
 }
 

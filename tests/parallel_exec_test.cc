@@ -323,10 +323,14 @@ class FailingCursor : public Cursor {
     produced_ = 0;
     return Status::OK();
   }
-  Result<bool> Next(Tuple* tuple) override {
-    if (produced_ >= ok_rows_) return Status::IOError("wire dropped");
-    *tuple = {Value(static_cast<int64_t>(produced_++))};
-    return true;
+  /// Fills whole blocks; the block that reaches `ok_rows` fails as a whole.
+  Result<size_t> NextBatch(RowBlock* block) override {
+    block->Clear();
+    while (!block->full()) {
+      if (produced_ >= ok_rows_) return Status::IOError("wire dropped");
+      block->AppendRow(Tuple{Value(static_cast<int64_t>(produced_++))});
+    }
+    return block->rows();
   }
   const Schema& schema() const override { return schema_; }
 
@@ -355,17 +359,17 @@ TEST(PrefetchCursorTest, PropagatesProducerErrors) {
   PrefetchCursor prefetch(std::make_unique<FailingCursor>(schema, 20),
                           /*batch_rows=*/8, /*max_batches=*/2);
   ASSERT_TRUE(prefetch.Init().ok());
-  Tuple t;
+  RowBlock block;
   size_t got = 0;
   Status error = Status::OK();
   while (true) {
-    Result<bool> r = prefetch.Next(&t);
+    Result<size_t> r = prefetch.NextBatch(&block);
     if (!r.ok()) {
       error = r.status();
       break;
     }
-    if (!r.ValueOrDie()) break;
-    ++got;
+    if (r.ValueOrDie() == 0) break;
+    got += r.ValueOrDie();
   }
   EXPECT_EQ(error.code(), StatusCode::kIOError);
   EXPECT_EQ(got, 16u);  // full batches delivered before the error surfaced
@@ -377,8 +381,8 @@ TEST(PrefetchCursorTest, TeardownWithoutDrainingDoesNotHang) {
   auto prefetch = std::make_unique<PrefetchCursor>(
       std::make_unique<VectorCursor>(RelSchema(), input), 8, 2);
   ASSERT_TRUE(prefetch->Init().ok());
-  Tuple t;
-  ASSERT_TRUE(prefetch->Next(&t).ValueOrDie());
+  RowBlock block;
+  ASSERT_GT(prefetch->NextBatch(&block).ValueOrDie(), 0u);
   prefetch.reset();  // producer blocked on a full queue must unblock
 }
 

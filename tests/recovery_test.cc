@@ -123,14 +123,8 @@ TEST(RecoveryTest, CursorKillMidStreamRepositions) {
   const Schema schema = conn.GetTableSchema("R").ValueOrDie();
 
   auto drain = [&](exec::TransferMCursor* c, std::vector<Tuple>* out) {
-    TANGO_RETURN_IF_ERROR(c->Init());
-    Tuple t;
-    while (true) {
-      auto more = c->Next(&t);
-      TANGO_RETURN_IF_ERROR(more.status());
-      if (!more.ValueOrDie()) return Status::OK();
-      out->push_back(t);
-    }
+    TANGO_ASSIGN_OR_RETURN(*out, MaterializeAll(c));
+    return Status::OK();
   };
 
   std::vector<Tuple> expected;
@@ -160,6 +154,73 @@ TEST(RecoveryTest, CursorKillMidStreamRepositions) {
       EXPECT_EQ(got[i][c].Compare(expected[i][c]), 0) << i << "," << c;
     }
   }
+}
+
+TEST(RecoveryTest, RestartSkipLandsOnABlockBoundaryOrFails) {
+  // The restart skip drains whole re-fetched blocks. If the re-issued
+  // SELECT cuts its wire blocks so that one straddles the skip offset, the
+  // rows past the offset were never delivered: the retry must fail, not
+  // drop them. A block grid that still lands on the offset resumes exactly.
+  dbms::Engine db;
+  Load(&db, "R", MakeRelation(11, 100, 4, 40));
+  dbms::WireConfig wc;
+  wc.simulate_delay = false;
+  wc.row_prefetch = 16;
+  dbms::Connection conn(&db, wc);
+  const std::string sql = "SELECT G, V, T1, T2 FROM R";
+  const Schema schema = conn.GetTableSchema("R").ValueOrDie();
+  std::vector<Tuple> expected;
+  {
+    exec::TransferMCursor clean(&conn, sql, schema);
+    auto rows = MaterializeAll(&clean);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    expected = rows.MoveValueOrDie();
+    ASSERT_EQ(expected.size(), 100u);
+  }
+  auto injector = std::make_shared<dbms::FaultInjector>();
+  conn.set_fault_injector(injector);
+
+  // Delivers two 16-row blocks, then re-blocks the link to `prefetch` rows
+  // and kills the third fetch, so the re-issued SELECT must skip 32 rows.
+  auto run = [&](size_t prefetch, std::vector<Tuple>* out) -> Status {
+    conn.config().row_prefetch = 16;
+    dbms::FaultPlan plan;
+    plan.kind = dbms::FaultKind::kCursorKill;
+    plan.batch_index = 2;
+    injector->Arm(plan);
+    exec::TransferMCursor c(&conn, sql, schema);
+    TANGO_RETURN_IF_ERROR(c.Init());
+    RowBlock block;
+    bool reblocked = false;
+    while (true) {
+      TANGO_ASSIGN_OR_RETURN(const size_t n, c.NextBatch(&block));
+      if (n == 0) break;
+      AppendRows(&block, out);
+      if (!reblocked && out->size() == 32) {
+        conn.config().row_prefetch = prefetch;
+        reblocked = true;
+      }
+    }
+    injector->Disarm();
+    return Status::OK();
+  };
+
+  std::vector<Tuple> aligned;
+  ASSERT_TRUE(run(/*prefetch=*/8, &aligned).ok());  // 32 = 4 blocks of 8
+  ASSERT_EQ(aligned.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    for (size_t c = 0; c < expected[i].size(); ++c) {
+      EXPECT_EQ(aligned[i][c].Compare(expected[i][c]), 0) << i << "," << c;
+    }
+  }
+
+  std::vector<Tuple> straddled;
+  const Status s = run(/*prefetch=*/24, &straddled);  // blocks end at 24, 48
+  injector->Disarm();
+  EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
+  EXPECT_NE(s.message().find("could not reposition"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(straddled.size(), 32u);  // nothing past the failure leaked out
 }
 
 TEST(RecoveryTest, SharedTransferCacheNotPoisonedByFailure) {
@@ -198,16 +259,9 @@ TEST(RecoveryTest, SharedTransferCacheNotPoisonedByFailure) {
   injector->Disarm();
   exec::TransferMCursor second(&conn, sql, schema, {}, cache, nullptr,
                                RetryPolicy(), &counters);
-  ASSERT_TRUE(second.Init().ok());
-  Tuple t;
-  size_t n = 0;
-  while (true) {
-    auto more = second.Next(&t);
-    ASSERT_TRUE(more.ok()) << more.status().ToString();
-    if (!more.ValueOrDie()) break;
-    ++n;
-  }
-  EXPECT_EQ(n, 80u);
+  auto rows = MaterializeAll(&second);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows.ValueOrDie().size(), 80u);
   auto stored = cache->Get(sql);
   ASSERT_NE(stored, nullptr);
   EXPECT_EQ(stored->size(), 80u);
