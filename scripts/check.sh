@@ -74,7 +74,11 @@ SERVER_SUITES='^(server_test|server_soak|engine_concurrency_test)$'
 # too: the planner builds its filter, project, sort, dup-elim and merge
 # join from src/exec, so a DBMS sort may spill RunFile temp files, and the
 # joins and aggregation read their children through BatchedReader blocks.
-SCAN_SUITES='^(storage_test|dbms_planner_test|wire_fuzz_test|dbms_exec_ops_test|dbms_test)$'
+# DBMS rows are dense (only the columns some operator reads), so every join
+# and projection above a scan binds against narrowed schemas: integration_test
+# (labeled slow, so the broad sanitizer pass skips it) runs the middleware's
+# generated SQL through them in its all-sites PlanDifferentialTest.
+SCAN_SUITES='^(storage_test|dbms_planner_test|wire_fuzz_test|dbms_exec_ops_test|dbms_test|integration_test)$'
 
 # A stuck test under a sanitizer leg should fail the run, not hang it.
 CTEST_TIMEOUT=600

@@ -18,11 +18,16 @@ void MarkBoundColumns(const Expr& e, std::vector<bool>* columns) {
 }  // namespace
 
 StoredRowScan::StoredRowScan(ScanSpec spec)
-    : table_(spec.table),
-      schema_(spec.alias.empty() ? table_->schema()
-                                 : table_->schema().WithQualifier(spec.alias)),
-      counters_(spec.counters) {
-  const size_t arity = table_->schema().num_columns();
+    : table_(spec.table), counters_(spec.counters) {
+  const Schema& full = spec.alias.empty()
+                           ? table_->schema()
+                           : table_->schema().WithQualifier(spec.alias);
+  const size_t arity = full.num_columns();
+  for (size_t c = 0; c < arity && c < spec.columns.size(); ++c) {
+    if (!spec.columns[c]) continue;
+    out_columns_.push_back(c);
+    schema_.AddColumn(full.column(c));
+  }
   std::vector<bool> decoded(arity, false);
   // Moves the not-yet-decoded columns of `wanted` into a new step.
   auto add_step = [&](const std::vector<bool>& wanted, ExprPtr conjunct) {
@@ -43,9 +48,8 @@ StoredRowScan::StoredRowScan(ScanSpec spec)
     add_step(reads, std::move(conjunct));
   }
   add_step(spec.columns, nullptr);
-  // A final pass with nothing left to decode is dropped — unless it is the
-  // only one, which still shapes the (all-NULL) row.
-  if (steps_.size() > 1 && steps_.back().decodes == 0) steps_.pop_back();
+  // A final pass with nothing left to decode is dropped.
+  if (steps_.back().decodes == 0) steps_.pop_back();
 }
 
 void StoredRowScan::FlushCounters() {
@@ -66,8 +70,10 @@ Result<bool> StoredRowScan::Advance() {
     ++rows_examined_;
     bool pass = true;
     for (const Step& step : steps_) {
-      TANGO_RETURN_IF_ERROR(file.ReadColumns(rid, step.columns, &row_));
-      values_decoded_ += step.decodes;
+      if (step.decodes > 0) {
+        TANGO_RETURN_IF_ERROR(file.ReadColumns(rid, step.columns, &row_));
+        values_decoded_ += step.decodes;
+      }
       if (step.conjunct != nullptr && !EvalPredicate(*step.conjunct, row_)) {
         pass = false;
         break;
@@ -80,15 +86,20 @@ Result<bool> StoredRowScan::Advance() {
 }
 
 Result<size_t> StoredRowScan::NextBatch(RowBlock* block) {
-  block->Clear();
-  while (!block->full()) {
+  block->Reset(out_columns_.size());
+  size_t rows = 0;
+  while (rows < block->capacity()) {
     TANGO_ASSIGN_OR_RETURN(bool more, Advance());
     if (!more) break;
-    // Moves the values out and keeps the row's shape: unmasked columns stay
-    // NULL, and masked ones are re-decoded before anything reads them.
-    block->AppendRow(std::move(row_));
+    // Moves the masked values straight into the block's columns; each is
+    // re-decoded before anything reads `row_` again.
+    for (size_t k = 0; k < out_columns_.size(); ++k) {
+      block->column(k).push_back(std::move(row_[out_columns_[k]]));
+    }
+    ++rows;
   }
-  return block->rows();
+  block->set_rows(rows);
+  return rows;
 }
 
 // ---------------------------------------------------------------- TableScan
@@ -119,6 +130,12 @@ Status IndexScanOp::Init() {
     it_ = index->Begin();
   }
   return Status::OK();
+}
+
+Status IndexScanOp::Seek(const Value& key) {
+  lo_ = hi_ = key;
+  lo_inclusive_ = hi_inclusive_ = true;
+  return Init();
 }
 
 bool IndexScanOp::NextRid(storage::Rid* rid) {
@@ -154,6 +171,19 @@ Result<size_t> UnionAllOp::NextBatch(RowBlock* block) {
 
 // ----------------------------------------------------------------- HashJoin
 
+namespace {
+
+/// Writes `left ++ right` into `out`, reusing its allocation: one reserve
+/// for the joined width, then both copies.
+void JoinInto(Tuple* out, const Tuple& left, const Tuple& right) {
+  out->clear();
+  out->reserve(left.size() + right.size());
+  out->insert(out->end(), left.begin(), left.end());
+  out->insert(out->end(), right.begin(), right.end());
+}
+
+}  // namespace
+
 HashJoinOp::HashJoinOp(CursorPtr left, CursorPtr right,
                        std::vector<size_t> left_keys,
                        std::vector<size_t> right_keys, ExprPtr residual)
@@ -170,7 +200,6 @@ Status HashJoinOp::Init() {
   TANGO_RETURN_IF_ERROR(left_reader_.Init());
   TANGO_RETURN_IF_ERROR(right_reader_.Init());
   hash_table_.clear();
-  probe_valid_ = false;
   match_bucket_ = nullptr;
   match_pos_ = 0;
   // Build on the left input.
@@ -194,27 +223,24 @@ Status HashJoinOp::Init() {
 Result<bool> HashJoinOp::NextRow(Tuple* tuple) {
   while (true) {
     if (match_bucket_ != nullptr && match_pos_ < match_bucket_->size()) {
-      Tuple joined = (*match_bucket_)[match_pos_++];
-      joined.insert(joined.end(), probe_row_.begin(), probe_row_.end());
-      if (residual_ == nullptr || EvalPredicate(*residual_, joined)) {
-        *tuple = std::move(joined);
+      JoinInto(tuple, (*match_bucket_)[match_pos_++], probe_row_);
+      if (residual_ == nullptr || EvalPredicate(*residual_, *tuple)) {
         return true;
       }
       continue;
     }
-    TANGO_ASSIGN_OR_RETURN(probe_valid_, right_reader_.Next(&probe_row_));
-    if (!probe_valid_) return false;
-    std::vector<Value> key;
-    key.reserve(right_keys_.size());
+    TANGO_ASSIGN_OR_RETURN(bool more, right_reader_.Next(&probe_row_));
+    if (!more) return false;
+    probe_key_.clear();
     bool has_null = false;
     for (size_t k : right_keys_) {
       if (probe_row_[k].is_null()) has_null = true;
-      key.push_back(probe_row_[k]);
+      probe_key_.push_back(probe_row_[k]);
     }
     match_bucket_ = nullptr;
     match_pos_ = 0;
     if (has_null) continue;
-    const auto it = hash_table_.find(key);
+    const auto it = hash_table_.find(probe_key_);
     if (it != hash_table_.end()) match_bucket_ = &it->second;
   }
 }
@@ -241,11 +267,8 @@ Status NestedLoopJoinOp::Init() {
 Result<bool> NestedLoopJoinOp::NextRow(Tuple* tuple) {
   while (outer_valid_) {
     while (inner_pos_ < inner_.size()) {
-      Tuple joined = outer_row_;
-      const Tuple& r = inner_[inner_pos_++];
-      joined.insert(joined.end(), r.begin(), r.end());
-      if (predicate_ == nullptr || EvalPredicate(*predicate_, joined)) {
-        *tuple = std::move(joined);
+      JoinInto(tuple, outer_row_, inner_[inner_pos_++]);
+      if (predicate_ == nullptr || EvalPredicate(*predicate_, *tuple)) {
         return true;
       }
     }
@@ -257,54 +280,53 @@ Result<bool> NestedLoopJoinOp::NextRow(Tuple* tuple) {
 
 // ------------------------------------------------------ IndexNestedLoopJoin
 
-IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(CursorPtr outer,
-                                             const Table* inner,
-                                             const std::string& inner_alias,
-                                             size_t outer_key,
-                                             size_t inner_column,
-                                             ExprPtr residual)
+IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(
+    CursorPtr outer, std::unique_ptr<IndexScanOp> inner, size_t outer_key,
+    ExprPtr residual)
     : outer_(std::move(outer)),
       outer_reader_(outer_.get()),
-      inner_(inner),
+      inner_(std::move(inner)),
       outer_key_(outer_key),
-      inner_column_(inner_column),
       residual_(std::move(residual)),
-      schema_(Schema::Concat(
-          outer_->schema(), inner_alias.empty()
-                                ? inner->schema()
-                                : inner->schema().WithQualifier(inner_alias))) {}
+      schema_(Schema::Concat(outer_->schema(), inner_->schema())) {}
 
 Status IndexNestedLoopJoinOp::Init() {
-  if (inner_->GetIndex(inner_column_) == nullptr) {
-    return Status::Internal("index nested-loop join without index");
-  }
+  TANGO_RETURN_IF_ERROR(inner_->Init());  // fails without the index
   TANGO_RETURN_IF_ERROR(outer_reader_.Init());
-  outer_valid_ = false;
-  matches_.clear();
-  match_pos_ = 0;
+  probing_ = false;
+  inner_block_.Clear();
+  inner_pos_ = 0;
   return Status::OK();
 }
 
 Result<bool> IndexNestedLoopJoinOp::NextRow(Tuple* tuple) {
   while (true) {
-    if (match_pos_ < matches_.size()) {
-      TANGO_ASSIGN_OR_RETURN(Tuple inner_row,
-                             inner_->file().Get(matches_[match_pos_++]));
-      Tuple joined = outer_row_;
-      joined.insert(joined.end(), inner_row.begin(), inner_row.end());
-      if (residual_ == nullptr || EvalPredicate(*residual_, joined)) {
-        *tuple = std::move(joined);
+    if (inner_pos_ < inner_block_.rows()) {
+      const size_t inner_width = inner_block_.columns();
+      tuple->clear();
+      tuple->reserve(outer_row_.size() + inner_width);
+      tuple->insert(tuple->end(), outer_row_.begin(), outer_row_.end());
+      for (size_t c = 0; c < inner_width; ++c) {
+        tuple->push_back(std::move(inner_block_.At(inner_pos_, c)));
+      }
+      ++inner_pos_;
+      if (residual_ == nullptr || EvalPredicate(*residual_, *tuple)) {
         return true;
       }
       continue;
     }
-    TANGO_ASSIGN_OR_RETURN(outer_valid_, outer_reader_.Next(&outer_row_));
-    if (!outer_valid_) return false;
-    matches_.clear();
-    match_pos_ = 0;
+    if (probing_) {
+      TANGO_ASSIGN_OR_RETURN(size_t n, inner_->NextBatch(&inner_block_));
+      inner_pos_ = 0;
+      if (n > 0) continue;
+      probing_ = false;
+    }
+    TANGO_ASSIGN_OR_RETURN(bool more, outer_reader_.Next(&outer_row_));
+    if (!more) return false;
     const Value& key = outer_row_[outer_key_];
     if (key.is_null()) continue;
-    matches_ = inner_->GetIndex(inner_column_)->Lookup(key);
+    TANGO_RETURN_IF_ERROR(inner_->Seek(key));
+    probing_ = true;
   }
 }
 
@@ -339,9 +361,7 @@ GroupAggOp::GroupAggOp(CursorPtr child, std::vector<size_t> group_cols,
 Status GroupAggOp::Init() {
   TANGO_RETURN_IF_ERROR(reader_.Init());
   group_open_ = false;
-  pending_valid_ = false;
   input_done_ = false;
-  emitted_global_ = false;
   states_.assign(aggs_.size(), AggState{});
   return Status::OK();
 }
@@ -405,43 +425,16 @@ Tuple GroupAggOp::EmitGroup() {
 }
 
 Result<bool> GroupAggOp::NextRow(Tuple* tuple) {
-  if (input_done_) {
-    // Global aggregation over an empty input still yields one row.
-    if (group_cols_.empty() && !emitted_global_ && !group_open_) {
-      emitted_global_ = true;
-      group_key_row_.clear();
-      *tuple = EmitGroup();
-      return true;
-    }
-    if (group_open_) {
-      group_open_ = false;
-      *tuple = EmitGroup();
-      emitted_global_ = true;
-      return true;
-    }
-    return false;
-  }
+  if (input_done_) return false;
+  Tuple row;
   while (true) {
-    Tuple row;
-    bool more;
-    if (pending_valid_) {
-      row = std::move(pending_);
-      pending_valid_ = false;
-      more = true;
-    } else {
-      TANGO_ASSIGN_OR_RETURN(more, reader_.Next(&row));
-    }
+    TANGO_ASSIGN_OR_RETURN(bool more, reader_.Next(&row));
     if (!more) {
       input_done_ = true;
-      if (group_open_) {
+      // The open group, or the one row a global aggregate yields even for
+      // an empty input.
+      if (group_open_ || group_cols_.empty()) {
         group_open_ = false;
-        emitted_global_ = true;
-        *tuple = EmitGroup();
-        return true;
-      }
-      if (group_cols_.empty() && !emitted_global_) {
-        emitted_global_ = true;
-        group_key_row_.clear();
         *tuple = EmitGroup();
         return true;
       }
@@ -449,11 +442,10 @@ Result<bool> GroupAggOp::NextRow(Tuple* tuple) {
     }
     if (!group_open_) {
       group_open_ = true;
-      group_key_row_ = row;
       Accumulate(row);
+      group_key_row_ = std::move(row);
       continue;
     }
-    // Same group?
     bool same = true;
     for (size_t c : group_cols_) {
       if (row[c].Compare(group_key_row_[c]) != 0) {
@@ -465,20 +457,10 @@ Result<bool> GroupAggOp::NextRow(Tuple* tuple) {
       Accumulate(row);
       continue;
     }
-    // New group: emit the finished one, stash the row.
-    pending_ = std::move(row);
-    pending_valid_ = true;
-    Tuple out = EmitGroup();
-    group_key_row_.clear();
-    group_open_ = false;
-    *tuple = std::move(out);
-    // Open the new group on the next call.
-    if (pending_valid_) {
-      group_open_ = true;
-      group_key_row_ = pending_;
-      Accumulate(pending_);
-      pending_valid_ = false;
-    }
+    // New group: emit the finished one and open the next on this row.
+    *tuple = EmitGroup();
+    Accumulate(row);
+    group_key_row_ = std::move(row);
     return true;
   }
 }

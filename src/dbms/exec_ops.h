@@ -36,11 +36,13 @@ struct ScanSpec {
   /// Range variable re-qualifying the output schema (empty keeps the
   /// table's own qualifiers).
   std::string alias;
-  /// Referenced-column mask, one bit per table column. Columns outside it
-  /// are never decoded and come out NULL.
+  /// Referenced-column mask, one bit per table column. The scan's schema
+  /// and rows hold exactly these columns, in table order; the others are
+  /// never decoded and never emitted.
   std::vector<bool> columns;
-  /// Pushed single-table conjuncts, bound against the scan's schema. Only
-  /// rows satisfying all of them are produced.
+  /// Pushed single-table conjuncts, bound against the table's full schema
+  /// (re-qualified by `alias`). Only rows satisfying all of them are
+  /// produced; they may read columns outside `columns`.
   std::vector<ExprPtr> conjuncts;
   ScanCounters counters;
 };
@@ -50,8 +52,10 @@ struct ScanSpec {
 ///
 /// Each pushed conjunct is checked right after decoding only the columns it
 /// is first to need; the remaining masked columns are decoded only for rows
-/// that pass every conjunct. "All columns, no predicate" is the degenerate
-/// spec, not a second path.
+/// that pass every conjunct. Emitted rows are dense: only the masked
+/// columns. A scan that reads no column emits zero-width rows (the block
+/// counts them) and decodes nothing. "All columns, no predicate" is the
+/// degenerate spec, not a second path.
 class StoredRowScan : public Cursor {
  public:
   ~StoredRowScan() override { FlushCounters(); }
@@ -84,11 +88,12 @@ class StoredRowScan : public Cursor {
 
   const Table* table_;
   Schema schema_;
+  std::vector<size_t> out_columns_;  // table column of each output column
   std::vector<Step> steps_;
   ScanCounters counters_;
   uint64_t rows_examined_ = 0;
   uint64_t values_decoded_ = 0;
-  Tuple row_;  // reused decode target; unmasked columns stay NULL
+  Tuple row_;  // reused full-width decode target
 };
 
 /// \brief Full scan of a stored table.
@@ -114,6 +119,9 @@ class IndexScanOp : public StoredRowScan {
               bool lo_inclusive, std::optional<Value> hi, bool hi_inclusive);
 
   Status Init() override;
+  /// Restarts the scan on the equality range [key, key]: the inner side of
+  /// an index nested-loop join, re-targeted once per outer row.
+  Status Seek(const Value& key);
 
  protected:
   bool NextRid(storage::Rid* rid) override;
@@ -191,8 +199,8 @@ class HashJoinOp : public Cursor {
   std::unordered_map<std::vector<Value>, std::vector<Tuple>, KeyHash, KeyEq>
       hash_table_;
 
+  std::vector<Value> probe_key_;  // reused across probe rows
   Tuple probe_row_;
-  bool probe_valid_ = false;
   const std::vector<Tuple>* match_bucket_ = nullptr;
   size_t match_pos_ = 0;
 };
@@ -222,16 +230,17 @@ class NestedLoopJoinOp : public Cursor {
   size_t inner_pos_ = 0;
 };
 
-/// \brief Index nested-loop equi-join: for each outer tuple, probes the
-/// inner table's B+-tree on the join column. This is the plan Oracle's
-/// nested-loop hint produces in Query 4.
+/// \brief Index nested-loop equi-join: for each outer tuple, seeks the
+/// inner index scan to the outer key. This is the plan Oracle's nested-loop
+/// hint produces in Query 4. The inner rows come out of the scan dense, with
+/// its pushed conjuncts already checked.
 class IndexNestedLoopJoinOp : public Cursor {
  public:
   /// `outer_key` is a bound column index into the outer schema; the inner
-  /// side appears on the right of the output schema.
-  IndexNestedLoopJoinOp(CursorPtr outer, const Table* inner,
-                        const std::string& inner_alias, size_t outer_key,
-                        size_t inner_column, ExprPtr residual);
+  /// side appears on the right of the output schema, and `residual` is
+  /// bound against that output schema.
+  IndexNestedLoopJoinOp(CursorPtr outer, std::unique_ptr<IndexScanOp> inner,
+                        size_t outer_key, ExprPtr residual);
 
   Status Init() override;
   Result<size_t> NextBatch(RowBlock* block) override {
@@ -244,16 +253,15 @@ class IndexNestedLoopJoinOp : public Cursor {
 
   CursorPtr outer_;
   BatchedReader outer_reader_;
-  const Table* inner_;
+  std::unique_ptr<IndexScanOp> inner_;
   size_t outer_key_;
-  size_t inner_column_;
   ExprPtr residual_;
   Schema schema_;
 
   Tuple outer_row_;
-  bool outer_valid_ = false;
-  std::vector<storage::Rid> matches_;
-  size_t match_pos_ = 0;
+  bool probing_ = false;  // `inner_` is seeked to outer_row_'s key
+  RowBlock inner_block_;
+  size_t inner_pos_ = 0;
 };
 
 /// \brief Sort-based group aggregation; the input must arrive sorted on the
@@ -294,10 +302,7 @@ class GroupAggOp : public Cursor {
   Tuple group_key_row_;     // representative row of the open group
   bool group_open_ = false;
   std::vector<AggState> states_;
-  Tuple pending_;
-  bool pending_valid_ = false;
   bool input_done_ = false;
-  bool emitted_global_ = false;
 };
 
 }  // namespace dbms

@@ -205,9 +205,9 @@ Result<std::vector<Schema>> Planner::RefSchemas(const sql::SelectStmt& stmt) {
   std::vector<Schema> schemas;
   for (const sql::TableRef& ref : stmt.from) {
     if (ref.subquery != nullptr) {
-      // Plan for the schema only and discard; planning is cheap (no
-      // execution happens until Init/Next), and pruning never changes a
-      // schema.
+      // Plan for the full schema only and discard; planning is cheap (no
+      // execution happens until Init/NextBatch). The pruned plan built
+      // later carries a subset of these columns.
       TANGO_ASSIGN_OR_RETURN(CursorPtr sub,
                              PlanSelect(*ref.subquery, OutputColumns::All()));
       schemas.push_back(sub->schema().WithQualifier(ref.alias));
@@ -254,14 +254,14 @@ Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt,
     });
   };
 
-  // An item nobody reads is pruned: produced as a NULL in place. Never
-  // under DISTINCT or aggregation (both look at every item), never in a
-  // UNION arm (PlanSelect plans arms with All()), never when ORDER BY names
-  // it, and never for a star, which keeps everything it expands to.
+  // An item nobody reads is pruned: dropped from the output. Never under
+  // DISTINCT or aggregation (both look at every item), never in a UNION
+  // arm (PlanSelect plans arms with All()), never when ORDER BY names it,
+  // and never for a star, which keeps everything it expands to.
   const bool may_prune = !reads.all && !stmt.distinct && !needs_agg;
   std::vector<bool> pruned(stmt.items.size(), false);
-  // Output position. The join output is the FROM entries concatenated, so
-  // a star expands over `ref_schemas`.
+  // Position in the unpruned output, which `reads` indexes. A star expands
+  // over `ref_schemas`, the FROM entries' full schemas.
   size_t pos = 0;
   for (size_t i = 0; i < stmt.items.size(); ++i) {
     const sql::SelectItem& item = stmt.items[i];
@@ -303,8 +303,12 @@ Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt,
     TANGO_ASSIGN_OR_RETURN(
         cur, PlanAggregation(stmt, std::move(cur), &select_exprs, &out_schema));
   } else {
-    // Expand stars and bind items against the join output.
+    // Expand stars and bind items against the join output, which holds
+    // only the marked columns. A pruned item is still bound and typed, so a
+    // bad reference fails, but against the FROM entries' full schemas,
+    // since the columns only it references were never produced.
     const Schema& in = cur->schema();
+    std::optional<Schema> unpruned;
     for (size_t i = 0; i < stmt.items.size(); ++i) {
       const sql::SelectItem& item = stmt.items[i];
       if (item.star) {
@@ -317,14 +321,22 @@ Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt,
         }
         continue;
       }
-      // A pruned item is still bound and typed, so a bad reference fails
-      // and the declared type is kept; only its value becomes NULL.
+      if (pruned[i]) {
+        if (!unpruned.has_value()) {
+          unpruned.emplace();
+          for (const Schema& r : ref_schemas) {
+            unpruned = Schema::Concat(*unpruned, r);
+          }
+        }
+        TANGO_ASSIGN_OR_RETURN(ExprPtr bound, Bind(item.expr, *unpruned));
+        TANGO_RETURN_IF_ERROR(InferType(bound, *unpruned).status());
+        continue;
+      }
       TANGO_ASSIGN_OR_RETURN(ExprPtr bound, Bind(item.expr, in));
       Column col;
       col.name = ItemName(item);
       TANGO_ASSIGN_OR_RETURN(col.type, InferType(bound, in));
-      select_exprs.push_back(pruned[i] ? Expr::Literal(Value::Null())
-                                       : std::move(bound));
+      select_exprs.push_back(std::move(bound));
       out_schema.AddColumn(col);
     }
   }
@@ -456,12 +468,6 @@ Result<CursorPtr> Planner::PlanJoins(const sql::SelectStmt& stmt,
       }
     }
 
-    const Schema joined = Schema::Concat(cur->schema(), ref_schemas[i]);
-    ExprPtr residual = nullptr;
-    if (!others.empty()) {
-      TANGO_ASSIGN_OR_RETURN(residual, Bind(Expr::AndAll(others), joined));
-    }
-
     const SessionConfig::JoinMethod method = config_->forced_join;
     const sql::TableRef& ref = stmt.from[i];
 
@@ -491,25 +497,39 @@ Result<CursorPtr> Planner::PlanJoins(const sql::SelectStmt& stmt,
       if (chosen >= 0) {
         TANGO_ASSIGN_OR_RETURN(size_t outer_key,
                                cur->schema().IndexOf(left_cols[chosen]));
-        // Remaining equis + pushed conjuncts of the inner + others become
-        // the residual (evaluated on the joined schema).
+        // The inner seek checks the inner's pushed conjuncts as a scan
+        // does; the other equis and the others become the residual.
+        TANGO_ASSIGN_OR_RETURN(
+            ScanSpec spec, MakeScanSpec(table, qual, std::move(pushed[i]),
+                                        std::move(ref_reads[i])));
+        auto inner = std::make_unique<IndexScanOp>(
+            std::move(spec), inner_col, std::nullopt, true, std::nullopt, true);
         std::vector<ExprPtr> res = others;
         for (size_t e = 0; e < equis.size(); ++e) {
           if (static_cast<int>(e) != chosen) res.push_back(equis[e]);
         }
-        for (const ExprPtr& p : pushed[i]) res.push_back(p);
         ExprPtr bound_res = nullptr;
         if (!res.empty()) {
-          TANGO_ASSIGN_OR_RETURN(bound_res, Bind(Expr::AndAll(res), joined));
+          TANGO_ASSIGN_OR_RETURN(
+              bound_res,
+              Bind(Expr::AndAll(res),
+                   Schema::Concat(cur->schema(), inner->schema())));
         }
         cur = std::make_unique<IndexNestedLoopJoinOp>(
-            std::move(cur), table, qual, outer_key, inner_col, bound_res);
+            std::move(cur), std::move(inner), outer_key, bound_res);
         continue;
       }
       // No usable index: fall through to block nested loop below.
     }
 
     TANGO_ASSIGN_OR_RETURN(CursorPtr right, plan_ref(i));
+    // Bound against the children actually planned, whose rows hold only
+    // the columns marked for them.
+    const Schema joined = Schema::Concat(cur->schema(), right->schema());
+    ExprPtr residual = nullptr;
+    if (!others.empty()) {
+      TANGO_ASSIGN_OR_RETURN(residual, Bind(Expr::AndAll(others), joined));
+    }
 
     if (equis.empty() || method == SessionConfig::JoinMethod::kNestedLoop) {
       std::vector<ExprPtr> all = equis;
@@ -639,8 +659,25 @@ Result<CursorPtr> Planner::PlanBaseTable(const Table* table,
     }
   }
 
-  // The scan checks every pushed conjunct itself, whichever of them the
+  TANGO_ASSIGN_OR_RETURN(
+      ScanSpec spec,
+      MakeScanSpec(table, alias, std::move(pushed), std::move(reads)));
+  if (best_col >= 0) {
+    const Range& r = ranges[static_cast<size_t>(best_col)];
+    return CursorPtr(std::make_unique<IndexScanOp>(
+        std::move(spec), static_cast<size_t>(best_col), r.lo, r.lo_inc, r.hi,
+        r.hi_inc));
+  }
+  return CursorPtr(std::make_unique<TableScanOp>(std::move(spec)));
+}
+
+Result<ScanSpec> Planner::MakeScanSpec(const Table* table,
+                                       const std::string& alias,
+                                       std::vector<ExprPtr> pushed,
+                                       std::vector<bool> reads) const {
+  // The scan checks every pushed conjunct itself, whichever of them an
   // index range already enforces.
+  const Schema qualified = table->schema().WithQualifier(alias);
   ScanSpec spec;
   spec.table = table;
   spec.alias = alias;
@@ -650,13 +687,7 @@ Result<CursorPtr> Planner::PlanBaseTable(const Table* table,
     TANGO_ASSIGN_OR_RETURN(ExprPtr bound, Bind(c, qualified));
     spec.conjuncts.push_back(std::move(bound));
   }
-  if (best_col >= 0) {
-    const Range& r = ranges[static_cast<size_t>(best_col)];
-    return CursorPtr(std::make_unique<IndexScanOp>(
-        std::move(spec), static_cast<size_t>(best_col), r.lo, r.lo_inc, r.hi,
-        r.hi_inc));
-  }
-  return CursorPtr(std::make_unique<TableScanOp>(std::move(spec)));
+  return spec;
 }
 
 double Planner::EstimateColumnSelectivity(const Table* table, size_t column,

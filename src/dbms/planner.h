@@ -56,8 +56,8 @@ class Planner {
       : catalog_(catalog), config_(config), scan_counters_(scan_counters) {}
 
   /// Plans a (possibly UNION-chained) SELECT into an executable cursor.
-  /// Output columns outside `reads` are produced as NULLs of their declared
-  /// type, so the schema and arity never change.
+  /// Output columns outside `reads` may be dropped: the plan's schema then
+  /// holds only the columns it produces, and consumers bind by name.
   Result<CursorPtr> PlanSelect(const sql::SelectStmt& stmt,
                                const OutputColumns& reads);
 
@@ -72,6 +72,11 @@ class Planner {
   Result<CursorPtr> PlanBaseTable(const Table* table, const std::string& alias,
                                   std::vector<ExprPtr> pushed,
                                   std::vector<bool> reads);
+  /// The scan of `table` under range variable `alias` that reads `reads`
+  /// and checks the `pushed` conjuncts (bound here).
+  Result<ScanSpec> MakeScanSpec(const Table* table, const std::string& alias,
+                                std::vector<ExprPtr> pushed,
+                                std::vector<bool> reads) const;
   Result<CursorPtr> PlanJoins(const sql::SelectStmt& stmt,
                               const std::vector<Schema>& ref_schemas,
                               std::vector<std::vector<bool>> ref_reads,

@@ -62,37 +62,86 @@ TEST(IndexScanOpTest, BoundInclusivityMatrix) {
   }
 }
 
-TEST(TableScanOpTest, MaskedScanLeavesUnreadColumnsNullAndCountsOnce) {
+TEST(TableScanOpTest, MaskedScanEmitsOnlyMaskedColumnsAndCountsOnce) {
   auto table = MakeTable(Kv({{1, 10}, {2, 20}, {3, 30}, {4, 40}}));
   obs::Counter examined, decoded;
   ScanSpec spec;
   spec.table = table.get();
-  spec.columns = {false, false};
+  spec.alias = "T";
+  spec.columns = {false, true};
   spec.conjuncts = {Bind(Expr::Binary(BinaryOp::kGe, Expr::Column("", "V"),
                                       Expr::Int(20)),
                          KvSchema())
                         .ValueOrDie()};
   spec.counters = {&examined, &decoded};
   TableScanOp scan(std::move(spec));
+  ASSERT_EQ(scan.schema().num_columns(), 1u);
+  EXPECT_EQ(scan.schema().column(0).name, "V");
+  EXPECT_EQ(scan.schema().column(0).table, "T");
   ASSERT_TRUE(scan.Init().ok());
 
-  // A one-row block into a caller block still holding stale values.
+  // A one-row block into a caller block still holding a wider stale row.
   RowBlock one(1);
   one.AppendRow(Tuple{Value("stale"), Value("stale")});
   ASSERT_EQ(scan.NextBatch(&one).ValueOrDie(), 1u);
-  EXPECT_TRUE(one.At(0, 0).is_null());
-  EXPECT_EQ(one.At(0, 1).AsInt(), 20);
+  ASSERT_EQ(one.columns(), 1u);
+  EXPECT_EQ(one.At(0, 0).AsInt(), 20);
   EXPECT_EQ(examined.load(), 0u);  // accumulated locally until the end
 
   RowBlock block;
   ASSERT_EQ(scan.NextBatch(&block).ValueOrDie(), 2u);
+  ASSERT_EQ(block.columns(), 1u);
   for (size_t r = 0; r < block.rows(); ++r) {
-    EXPECT_TRUE(block.At(r, 0).is_null());
-    EXPECT_EQ(block.At(r, 1).AsInt(), 30 + 10 * static_cast<int64_t>(r));
+    EXPECT_EQ(block.At(r, 0).AsInt(), 30 + 10 * static_cast<int64_t>(r));
   }
   ASSERT_EQ(scan.NextBatch(&block).ValueOrDie(), 0u);
   EXPECT_EQ(examined.load(), 4u);
   EXPECT_EQ(decoded.load(), 4u);  // V only, once per row
+}
+
+TEST(TableScanOpTest, ConjunctOnAnUnmaskedColumnAndZeroWidthRows) {
+  auto table = MakeTable(Kv({{1, 10}, {2, 20}, {3, 30}, {4, 40}}));
+  const ExprPtr v_ge_20 =
+      Bind(Expr::Binary(BinaryOp::kGe, Expr::Column("", "V"), Expr::Int(20)),
+           KvSchema())
+          .ValueOrDie();
+  {
+    // The conjunct reads V, the output holds K only.
+    obs::Counter decoded;
+    ScanSpec spec;
+    spec.table = table.get();
+    spec.columns = {true, false};
+    spec.conjuncts = {v_ge_20};
+    spec.counters.values_decoded = &decoded;
+    TableScanOp scan(std::move(spec));
+    ASSERT_EQ(scan.schema().num_columns(), 1u);
+    EXPECT_EQ(scan.schema().column(0).name, "K");
+    auto rows = MaterializeAll(&scan).ValueOrDie();
+    ASSERT_EQ(rows.size(), 3u);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      ASSERT_EQ(rows[r].size(), 1u);
+      EXPECT_EQ(rows[r][0].AsInt(), 2 + static_cast<int64_t>(r));
+    }
+    EXPECT_EQ(decoded.load(), 4u + 3u);  // V for every row, K for survivors
+  }
+  {
+    // No column read: zero-width rows, counted by the block, nothing decoded.
+    obs::Counter examined, decoded;
+    ScanSpec spec;
+    spec.table = table.get();
+    spec.columns = {false, false};
+    spec.counters = {&examined, &decoded};
+    TableScanOp scan(std::move(spec));
+    EXPECT_EQ(scan.schema().num_columns(), 0u);
+    ASSERT_TRUE(scan.Init().ok());
+    RowBlock block(3);
+    ASSERT_EQ(scan.NextBatch(&block).ValueOrDie(), 3u);
+    EXPECT_EQ(block.columns(), 0u);
+    ASSERT_EQ(scan.NextBatch(&block).ValueOrDie(), 1u);
+    ASSERT_EQ(scan.NextBatch(&block).ValueOrDie(), 0u);
+    EXPECT_EQ(examined.load(), 4u);
+    EXPECT_EQ(decoded.load(), 0u);
+  }
 }
 
 /// Runs `sql` on `db` with the DBMS join method forced to sort-merge.
@@ -178,6 +227,26 @@ TEST(GroupAggOpTest, PendingGroupBoundaries) {
   EXPECT_EQ(out[2][2].AsInt(), 6);
 }
 
+// With no group columns the aggregate yields exactly one row, for an empty
+// input too, and stays exhausted after it.
+TEST(GroupAggOpTest, GlobalAggregateYieldsExactlyOneRow) {
+  for (const std::vector<Tuple>& input : {std::vector<Tuple>{},
+                                          Kv({{1, 10}, {2, 20}})}) {
+    std::vector<AggSpec> aggs;
+    aggs.push_back({AggFunc::kCount, nullptr, "C"});
+    aggs.push_back({AggFunc::kSum, Expr::BoundColumn(1), "S"});
+    GroupAggOp agg(std::make_unique<VectorCursor>(KvSchema(), input), {},
+                   aggs);
+    ASSERT_TRUE(agg.Init().ok());
+    RowBlock block(1);
+    ASSERT_EQ(agg.NextBatch(&block).ValueOrDie(), 1u);
+    EXPECT_EQ(block.At(0, 0).AsInt(), static_cast<int64_t>(input.size()));
+    EXPECT_EQ(block.At(0, 1).is_null(), input.empty());
+    EXPECT_EQ(agg.NextBatch(&block).ValueOrDie(), 0u);
+    EXPECT_EQ(agg.NextBatch(&block).ValueOrDie(), 0u);
+  }
+}
+
 TEST(GroupAggOpTest, MinMaxOverStrings) {
   Schema schema({{"", "G", DataType::kInt}, {"", "S", DataType::kString}});
   std::vector<Tuple> rows = {{Value(int64_t{1}), Value("beta")},
@@ -230,13 +299,25 @@ TEST(NestedLoopJoinOpTest, EmptySidesAndNullPredicate) {
   }
 }
 
+/// The inner side of an index nested-loop join: an index scan of `table`
+/// on column 0 under range variable "I", reading `columns`.
+std::unique_ptr<IndexScanOp> InnerProbe(const Table* table,
+                                        std::vector<bool> columns) {
+  ScanSpec spec;
+  spec.table = table;
+  spec.alias = "I";
+  spec.columns = std::move(columns);
+  return std::make_unique<IndexScanOp>(std::move(spec), 0, std::nullopt, true,
+                                       std::nullopt, true);
+}
+
 TEST(IndexNestedLoopJoinOpTest, ProbesInnerIndex) {
   auto inner = MakeTable(Kv({{1, 100}, {1, 101}, {2, 200}, {3, 300}}));
   ASSERT_TRUE(inner->CreateIndex(0).ok());
   auto outer = std::make_unique<VectorCursor>(
       KvSchema().WithQualifier("O"), Kv({{1, 1}, {3, 3}, {9, 9}}));
-  IndexNestedLoopJoinOp join(std::move(outer), inner.get(), "I", 0, 0,
-                             nullptr);
+  IndexNestedLoopJoinOp join(std::move(outer),
+                             InnerProbe(inner.get(), {true, true}), 0, nullptr);
   auto rows = MaterializeAll(&join);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   // key 1 -> two inner rows, key 3 -> one, key 9 -> none.
@@ -246,12 +327,37 @@ TEST(IndexNestedLoopJoinOpTest, ProbesInnerIndex) {
   EXPECT_TRUE(join.schema().Contains("I.K"));
 }
 
+TEST(IndexNestedLoopJoinOpTest, InnerRowsAreDense) {
+  auto inner = MakeTable(Kv({{1, 100}, {1, 101}, {2, 200}, {3, 300}}));
+  ASSERT_TRUE(inner->CreateIndex(0).ok());
+  auto outer = std::make_unique<VectorCursor>(
+      KvSchema().WithQualifier("O"), Kv({{1, 1}, {3, 3}, {9, 9}}));
+  IndexNestedLoopJoinOp join(std::move(outer),
+                             InnerProbe(inner.get(), {false, true}), 0,
+                             nullptr);
+  ASSERT_EQ(join.schema().num_columns(), 3u);
+  EXPECT_TRUE(join.schema().Contains("I.V"));
+  EXPECT_FALSE(join.schema().Contains("I.K"));
+  // Drained twice in one-row blocks: re-Init replays, exhaustion sticks.
+  for (int pass = 0; pass < 2; ++pass) {
+    ASSERT_TRUE(join.Init().ok());
+    RowBlock block(1);
+    std::vector<int64_t> inner_v;
+    while (join.NextBatch(&block).ValueOrDie() > 0) {
+      ASSERT_EQ(block.columns(), 3u);
+      inner_v.push_back(block.At(0, 2).AsInt());
+    }
+    EXPECT_EQ(join.NextBatch(&block).ValueOrDie(), 0u);
+    EXPECT_EQ(inner_v, (std::vector<int64_t>{100, 101, 300}));
+  }
+}
+
 TEST(IndexNestedLoopJoinOpTest, MissingIndexIsAnError) {
   auto inner = MakeTable(Kv({{1, 100}}));
   auto outer = std::make_unique<VectorCursor>(KvSchema().WithQualifier("O"),
                                               Kv({{1, 1}}));
-  IndexNestedLoopJoinOp join(std::move(outer), inner.get(), "I", 0, 0,
-                             nullptr);
+  IndexNestedLoopJoinOp join(std::move(outer),
+                             InnerProbe(inner.get(), {true, true}), 0, nullptr);
   EXPECT_FALSE(join.Init().ok());
 }
 

@@ -288,6 +288,8 @@ TEST(PlannerTest, BlockDrainsAgreeAtEveryCapacity) {
       "SELECT A.V, B.V, Y.V FROM A, B, (SELECT K, V FROM C) Y "
       "WHERE A.K = B.K AND B.K = Y.K AND A.V < B.V AND A.V < 90 "
       "AND B.V < 120";
+  const std::string kKeyOnly =
+      "SELECT A.V FROM A, B WHERE A.K = B.K AND A.V < 40";
   const std::vector<std::pair<SessionConfig::JoinMethod, std::string>>
       queries = {
           {SessionConfig::JoinMethod::kAuto,
@@ -312,6 +314,17 @@ TEST(PlannerTest, BlockDrainsAgreeAtEveryCapacity) {
           {SessionConfig::JoinMethod::kHash, kJoin},
           {SessionConfig::JoinMethod::kMerge, kJoin},
           {SessionConfig::JoinMethod::kNestedLoop, kJoin},
+          // Dense rows at their narrowest: a derived table whose every item
+          // is pruned (zero-width rows out of the scan and the projection),
+          // a join side contributing only its key, and a cross join with a
+          // zero-width side.
+          {SessionConfig::JoinMethod::kAuto,
+           "SELECT COUNT(*) AS N FROM (SELECT K, V FROM A WHERE V < 200) X"},
+          {SessionConfig::JoinMethod::kHash, kKeyOnly},
+          {SessionConfig::JoinMethod::kMerge, kKeyOnly},
+          {SessionConfig::JoinMethod::kNestedLoop, kKeyOnly},
+          {SessionConfig::JoinMethod::kAuto,
+           "SELECT A.V FROM A, C WHERE A.V < 3"},
       };
   for (const auto& [method, sql] : queries) {
     db.config().forced_join = method;
@@ -332,6 +345,71 @@ TEST(PlannerTest, BlockDrainsAgreeAtEveryCapacity) {
     }
   }
   db.config().forced_join = SessionConfig::JoinMethod::kAuto;
+}
+
+/// Plans `sql`'s SELECT for a consumer reading only `mask` of its output.
+Result<CursorPtr> PlanForReads(Engine* db, const std::string& sql,
+                               std::vector<bool> mask) {
+  auto stmt = sql::Parser::Parse(sql);
+  if (!stmt.ok()) return stmt.status();
+  Planner planner(&db->catalog(), &db->config(), ScanCounters{});
+  return planner.PlanSelect(*stmt.ValueOrDie().select,
+                            OutputColumns::Only(std::move(mask)));
+}
+
+std::vector<std::string> ColumnNames(const Schema& schema) {
+  std::vector<std::string> names;
+  for (const Column& c : schema.columns()) names.push_back(c.name);
+  return names;
+}
+
+// A pruned item is dropped: the plan's schema and rows hold exactly the
+// kept items, in select-list order.
+TEST(PlannerTest, PrunedItemsAreDropped) {
+  Engine db;
+  LoadKv(&db, "A", 50, 5);
+  auto plan = PlanForReads(
+      &db, "SELECT K AS P, V AS Q, T AS R, K + V AS S FROM A WHERE V < 10",
+      {false, true, false, true});
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  CursorPtr cursor = plan.MoveValueOrDie();
+  EXPECT_EQ(ColumnNames(cursor->schema()),
+            (std::vector<std::string>{"Q", "S"}));
+  const std::vector<Tuple> rows = DrainBlocks(cursor.get(), 7);
+  ASSERT_EQ(rows.size(), 10u);
+  for (const Tuple& t : rows) {
+    ASSERT_EQ(t.size(), 2u);
+    EXPECT_EQ(t[1].AsInt(), t[0].AsInt() % 5 + t[0].AsInt());
+  }
+
+  // ORDER BY keeps the item it names; DISTINCT keeps every item.
+  auto ordered = PlanForReads(&db, "SELECT K AS P, V AS Q FROM A ORDER BY P",
+                              {false, true});
+  ASSERT_TRUE(ordered.ok());
+  EXPECT_EQ(ColumnNames(ordered.ValueOrDie()->schema()),
+            (std::vector<std::string>{"P", "Q"}));
+  auto distinct = PlanForReads(&db, "SELECT DISTINCT K AS P, V AS Q FROM A",
+                               {false, true});
+  ASSERT_TRUE(distinct.ok());
+  EXPECT_EQ(ColumnNames(distinct.ValueOrDie()->schema()),
+            (std::vector<std::string>{"P", "Q"}));
+}
+
+// Dropping an item does not skip its binding: a bad reference still fails,
+// planned directly and as a derived table whose consumer never reads it.
+TEST(PlannerTest, PrunedItemWithBadReferenceStillFails) {
+  Engine db;
+  LoadKv(&db, "A", 10, 5);
+  auto plan =
+      PlanForReads(&db, "SELECT K AS P, NOPE AS Q FROM A", {true, false});
+  EXPECT_FALSE(plan.ok());
+  auto qualified =
+      PlanForReads(&db, "SELECT K AS P, Z.V AS Q FROM A", {true, false});
+  EXPECT_FALSE(qualified.ok());
+  EXPECT_FALSE(
+      db.Execute("SELECT X.P FROM (SELECT K AS P, NOPE AS Q FROM A) X").ok());
+  EXPECT_TRUE(
+      db.Execute("SELECT X.P FROM (SELECT K AS P, V AS Q FROM A) X").ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -707,6 +785,46 @@ TEST(ColumnPruningTest, ScanCountersShowTheTimesliceDecodesFewValues) {
   ASSERT_EQ(all.ValueOrDie().rows.size(), n);
   EXPECT_EQ(examined.load() - examined0, n);
   EXPECT_EQ(decoded.load() - decoded0, n * 8);
+}
+
+// A statement decodes only the columns some operator reads: COUNT(*) none,
+// a join side its key alone — through a scan or an index nested-loop
+// join's inner seek alike.
+TEST(ColumnPruningTest, CountStarAndKeyOnlyJoinSidesDecodeOnlyWhatIsRead) {
+  obs::MetricsRegistry metrics;
+  EngineOptions options;
+  options.metrics = &metrics;
+  Engine db(options);
+  LoadKv(&db, "A", 300, 30);
+  LoadKv(&db, "B", 200, 30);
+  ASSERT_TRUE(db.Execute("CREATE INDEX IBK ON B (K)").ok());
+  const obs::Counter& examined = metrics.counter("dbms.scan.rows_examined");
+  const obs::Counter& decoded = metrics.counter("dbms.scan.values_decoded");
+
+  auto count = db.Execute("SELECT COUNT(*) AS N FROM A");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count.ValueOrDie().rows[0][0].AsInt(), 300);
+  EXPECT_EQ(examined.load(), 300u);
+  EXPECT_EQ(decoded.load(), 0u);
+
+  // Every A row matches 200 / 30 = 6 or 7 B rows: 2000 joined rows.
+  const std::string join = "SELECT A.V FROM A, B WHERE A.K = B.K";
+  for (SessionConfig::JoinMethod method :
+       {SessionConfig::JoinMethod::kHash, SessionConfig::JoinMethod::kMerge,
+        SessionConfig::JoinMethod::kNestedLoop}) {
+    db.config().forced_join = method;
+    const uint64_t examined0 = examined.load(), decoded0 = decoded.load();
+    auto r = db.Execute(join);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.ValueOrDie().rows.size(), 2000u);
+    // A: K and V per row. B: K per row scanned, or per row a seek returns
+    // (every B row ten times, once per A row with its key).
+    const uint64_t b_rows =
+        method == SessionConfig::JoinMethod::kNestedLoop ? 2000u : 200u;
+    EXPECT_EQ(examined.load() - examined0, 300u + b_rows);
+    EXPECT_EQ(decoded.load() - decoded0, 2u * 300u + b_rows);
+  }
+  db.config().forced_join = SessionConfig::JoinMethod::kAuto;
 }
 
 }  // namespace
